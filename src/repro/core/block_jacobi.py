@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion, ConvergenceTrace, measure
-from repro.core.hestenes import _complete_orthonormal
+from repro.core.convergence import (
+    ConvergenceCriterion,
+    ConvergenceTrace,
+    measure,
+    run_sweeps,
+)
+from repro.core.hestenes import finalize_columns
 from repro.core.ordering import cyclic_sweep
 from repro.core.result import SVDResult
 from repro.core.symeig import jacobi_eigh
-from repro.util.numerics import sort_svd
 from repro.util.validation import as_float_matrix, check_positive_int
 
 __all__ = ["block_jacobi_svd"]
@@ -68,24 +72,22 @@ def block_jacobi_svd(
     a = as_float_matrix(a, name="a")
     check_positive_int(block, name="block")
     criterion = criterion or ConvergenceCriterion(max_sweeps=6, tol=None)
-    m, n = a.shape
+    n = a.shape[1]
 
     b_mat = a.copy()
     v = np.eye(n) if compute_uv else None
     blocks = _block_slices(n, block)
-    n_blocks = len(blocks)
+    if len(blocks) == 1:
+        pair_rounds = [[(0, 0)]]  # single block: orthogonalize it alone
+    else:
+        pair_rounds = cyclic_sweep(len(blocks))
     trace = ConvergenceTrace(metric=criterion.metric)
     trace.record(0, measure(b_mat.T @ b_mat, criterion.metric))
 
     inner_criterion = ConvergenceCriterion(max_sweeps=inner_sweeps, tol=None)
-    converged = False
-    sweeps_done = 0
-    for sweep in range(1, criterion.max_sweeps + 1):
+
+    def sweep(index, rspan):
         rotations = 0
-        if n_blocks == 1:
-            pair_rounds = [[(0, 0)]]  # single block: orthogonalize it alone
-        else:
-            pair_rounds = cyclic_sweep(n_blocks)
         for rnd in pair_rounds:
             for bi, bj in rnd:
                 if bi == bj:
@@ -106,32 +108,18 @@ def block_jacobi_svd(
                 if v is not None:
                     v[:, cols] = v[:, cols] @ q
                 rotations += 1
-        sweeps_done = sweep
-        value = measure(b_mat.T @ b_mat, criterion.metric)
-        trace.record(sweep, value, rotations)
-        if rotations == 0 or criterion.satisfied(value):
-            converged = True
-            break
+        return rotations, 0
+
+    sweeps_done, converged = run_sweeps(
+        sweep,
+        lambda: measure(b_mat.T @ b_mat, criterion.metric),
+        method="block_jacobi",
+        criterion=criterion,
+        trace=trace,
+    )
     trace.converged = converged
 
-    norms = np.linalg.norm(b_mat, axis=0)
-    k = min(m, n)
-    if not compute_uv:
-        _, s, _ = sort_svd(None, norms, None)
-        return SVDResult(
-            s=s[:k], sweeps=sweeps_done, trace=trace,
-            method="block_jacobi", converged=converged,
-        )
-    u_full = np.zeros((m, n))
-    s_max = float(np.max(norms)) if norms.size else 0.0
-    cutoff = s_max * max(m, n) * np.finfo(np.float64).eps
-    nonzero = norms > cutoff
-    u_full[:, nonzero] = b_mat[:, nonzero] / norms[nonzero]
-    u, s, vt = sort_svd(u_full, norms, v.T)
-    u, s, vt = u[:, :k], s[:k], vt[:k, :]
-    zero_cols = np.linalg.norm(u, axis=0) < 0.5
-    if np.any(zero_cols):
-        u = _complete_orthonormal(u, zero_cols)
+    s, u, vt = finalize_columns(b_mat, v, compute_uv=compute_uv)
     return SVDResult(
         s=s, u=u, vt=vt, sweeps=sweeps_done, trace=trace,
         method="block_jacobi", converged=converged,

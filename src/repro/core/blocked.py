@@ -21,15 +21,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion, ConvergenceTrace, measure
-from repro.core.hestenes import _complete_orthonormal
-from repro.core.modified import TRACK_COLUMN_MODES, gram_matrix
+from repro.core.convergence import (
+    ConvergenceCriterion,
+    ConvergenceTrace,
+    measure,
+    run_sweeps,
+)
+from repro.core.modified import gram_finalize, gram_matrix
 from repro.core.ordering import cyclic_sweep
+from repro.core.registry import ROTATION_IMPLS, TRACK_COLUMN_MODES
 from repro.core.result import SVDResult
 from repro.core.rotation import apply_round_columns
-from repro.obs import noop_span, round_detail, span
-from repro.obs.health import sweep_guard
-from repro.util.numerics import sort_svd
 from repro.util.validation import as_float_matrix, check_in_choices
 
 __all__ = ["blocked_svd", "batch_rotation_params", "apply_round_gram"]
@@ -60,7 +62,7 @@ def batch_rotation_params(
     in that dtype so no intermediate silently promotes, and the huge-rho
     overflow guard scales with the dtype's range.
     """
-    check_in_choices(rotation_impl, ("textbook", "dataflow"), name="rotation_impl")
+    check_in_choices(rotation_impl, ROTATION_IMPLS, name="rotation_impl")
     dtype = np.dtype(dtype)
     if dtype.name not in _HUGE_RHO:
         raise ValueError(
@@ -173,7 +175,7 @@ def blocked_svd(
     check_in_choices(track_columns, TRACK_COLUMN_MODES, name="track_columns")
     criterion = criterion or ConvergenceCriterion(max_sweeps=6, tol=None)
 
-    m, n = a.shape
+    n = a.shape[1]
     d = gram_matrix(a)
     track_b = track_columns != "never"
     b = a.copy() if track_b else None
@@ -183,81 +185,50 @@ def blocked_svd(
     trace = ConvergenceTrace(metric=criterion.metric)
     trace.record(0, measure(d, criterion.metric))
 
-    converged = False
-    sweeps_done = 0
-    rspan = span if round_detail() else noop_span
-    for sweep in range(1, criterion.max_sweeps + 1):
-        update_cols = b is not None and (track_columns == "always" or sweep == 1)
-        with span("core.sweep", method="blocked", sweep=sweep) as sweep_span:
-            rotations = 0
-            skipped = 0
-            for round_index, round_pairs in enumerate(rounds):
-                if not round_pairs:
+    def sweep(index, rspan):
+        update_cols = b is not None and (track_columns == "always" or index == 1)
+        rotations = 0
+        skipped = 0
+        for round_index, round_pairs in enumerate(rounds):
+            if not round_pairs:
+                continue
+            with rspan("core.round", round=round_index, pairs=len(round_pairs)):
+                idx_i = np.fromiter((p[0] for p in round_pairs), dtype=np.intp)
+                idx_j = np.fromiter((p[1] for p in round_pairs), dtype=np.intp)
+                cov = d[idx_i, idx_j].copy()
+                ni = d[idx_i, idx_i]
+                nj = d[idx_j, idx_j]
+                c, s, t, active = batch_rotation_params(
+                    ni, nj, cov, rotation_impl=rotation_impl
+                )
+                n_active = int(np.sum(active))
+                rotations += n_active
+                skipped += len(round_pairs) - n_active
+                if n_active == 0:
                     continue
-                with rspan("core.round", round=round_index, pairs=len(round_pairs)):
-                    idx_i = np.fromiter((p[0] for p in round_pairs), dtype=np.intp)
-                    idx_j = np.fromiter((p[1] for p in round_pairs), dtype=np.intp)
-                    cov = d[idx_i, idx_j].copy()
-                    ni = d[idx_i, idx_i]
-                    nj = d[idx_j, idx_j]
-                    c, s, t, active = batch_rotation_params(
-                        ni, nj, cov, rotation_impl=rotation_impl
-                    )
-                    n_active = int(np.sum(active))
-                    rotations += n_active
-                    skipped += len(round_pairs) - n_active
-                    if n_active == 0:
-                        continue
-                    apply_round_gram(d, idx_i, idx_j, c, s, t, cov)
-                    if update_cols:
-                        apply_round_columns(b, idx_i, idx_j, c, s)
-                    if v is not None:
-                        apply_round_columns(v, idx_i, idx_j, c, s)
-            sweeps_done = sweep
-            value = measure(d, criterion.metric)
-            trace.record(sweep, value, rotations, skipped)
-            sweep_guard("blocked", sweep, value)
-            sweep_span.set_attrs(
-                rotations=rotations, skipped=skipped, off_diagonal=value
-            )
-        if rotations == 0 or criterion.satisfied(value):
-            converged = True
-            break
+                apply_round_gram(d, idx_i, idx_j, c, s, t, cov)
+                if update_cols:
+                    apply_round_columns(b, idx_i, idx_j, c, s)
+                if v is not None:
+                    apply_round_columns(v, idx_i, idx_j, c, s)
+        return rotations, skipped
+
+    sweeps_done, converged = run_sweeps(
+        sweep,
+        lambda: measure(d, criterion.metric),
+        method="blocked",
+        criterion=criterion,
+        trace=trace,
+    )
     trace.converged = converged
 
-    with span("core.finalize", m=m, n=n):
-        diag = np.diag(d).copy()
-        diag[diag < 0.0] = 0.0
-        sigma_all = np.sqrt(diag)
-        k = min(m, n)
-
-        if not compute_uv:
-            _, s_sorted, _ = sort_svd(None, sigma_all, None)
-            return SVDResult(
-                s=s_sorted[:k],
-                sweeps=sweeps_done,
-                trace=trace,
-                method="blocked",
-                converged=converged,
-            )
-
-        b_final = b if track_columns == "always" else a @ v
-        u_full = np.zeros((m, n))
-        s_max = float(np.max(sigma_all)) if sigma_all.size else 0.0
-        cutoff = s_max * max(m, n) * np.finfo(np.float64).eps
-        nonzero = sigma_all > cutoff
-        u_full[:, nonzero] = b_final[:, nonzero] / sigma_all[nonzero]
-        u, s_sorted, vt = sort_svd(u_full, sigma_all, v.T)
-        u, s_sorted, vt = u[:, :k], s_sorted[:k], vt[:k, :]
-        zero_cols = np.linalg.norm(u, axis=0) < 0.5
-        if np.any(zero_cols):
-            u = _complete_orthonormal(u, zero_cols)
-        return SVDResult(
-            s=s_sorted,
-            u=u,
-            vt=vt,
-            sweeps=sweeps_done,
-            trace=trace,
-            method="blocked",
-            converged=converged,
-        )
+    s, u, vt = gram_finalize(d, a, b, v, track_columns=track_columns)
+    return SVDResult(
+        s=s,
+        u=u,
+        vt=vt,
+        sweeps=sweeps_done,
+        trace=trace,
+        method="blocked",
+        converged=converged,
+    )

@@ -7,14 +7,22 @@ thresholds".  The library supports both regimes:
 
 * fixed sweep count (hardware-faithful), and
 * threshold-based early stopping on any supported metric.
+
+:func:`run_sweeps` is the one sweep loop every Jacobi engine runs:
+the engine supplies its round kernel and its metric, the driver owns
+the sweep numbering, budget, stop rule, trace record, NaN/Inf guard
+and ``core.sweep`` span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+from repro.obs import noop_span, round_detail, span
+from repro.obs.health import sweep_guard
 from repro.util.numerics import (
     frobenius_off_diagonal,
     mean_abs_off_diagonal,
@@ -22,7 +30,13 @@ from repro.util.numerics import (
 )
 from repro.util.validation import check_in_choices, check_positive_int
 
-__all__ = ["METRICS", "ConvergenceCriterion", "ConvergenceTrace", "measure"]
+__all__ = [
+    "METRICS",
+    "ConvergenceCriterion",
+    "ConvergenceTrace",
+    "measure",
+    "run_sweeps",
+]
 
 #: Supported convergence metrics, keyed by name:
 #:
@@ -143,3 +157,50 @@ class ConvergenceTrace:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         return text
+
+
+def run_sweeps(
+    sweep: Callable,
+    metric_value: Callable[[], float],
+    *,
+    method: str,
+    criterion: ConvergenceCriterion,
+    trace: ConvergenceTrace,
+    start: int = 0,
+    last: int | None = None,
+    stop: Callable[[], bool] | None = None,
+    **span_attrs,
+) -> tuple[int, bool]:
+    """Run Algorithm 1's sweep loop around an engine's round kernel.
+
+    Sweeps are numbered ``start + 1`` through *last* (default
+    ``criterion.max_sweeps``).  Each one runs inside a ``core.sweep``
+    span (attributes ``method``, ``sweep`` and any *span_attrs*): it
+    calls ``sweep(index, rspan) -> (rotations, skipped)`` with
+    ``rspan`` the span factory for per-round ``core.round`` scopes
+    (a no-op unless the ambient tracer asks for round detail), then
+    ``metric_value()``, records both in *trace* and runs
+    :func:`repro.obs.health.sweep_guard` on the value.
+
+    The loop converges when a sweep performs no rotation or the value
+    satisfies *criterion*; otherwise the optional ``stop()`` hook may
+    end it early without convergence.  Returns ``(sweeps_done,
+    converged)`` with ``sweeps_done`` absolute (``start`` when no sweep
+    ran).
+    """
+    last = criterion.max_sweeps if last is None else last
+    rspan = span if round_detail() else noop_span
+    sweeps_done = start
+    for index in range(start + 1, last + 1):
+        with span("core.sweep", method=method, sweep=index, **span_attrs) as sp:
+            rotations, skipped = sweep(index, rspan)
+            sweeps_done = index
+            value = metric_value()
+            trace.record(index, value, rotations, skipped)
+            sweep_guard(method, index, value)
+            sp.set_attrs(rotations=rotations, skipped=skipped, off_diagonal=value)
+        if rotations == 0 or criterion.satisfied(value):
+            return sweeps_done, True
+        if stop is not None and stop():
+            break
+    return sweeps_done, False

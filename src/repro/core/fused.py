@@ -9,20 +9,21 @@ kernel here:
 
 * :class:`FusedSweeper` performs one Jacobi sweep over a fused
   ``[Bᵀ | Vᵀ]`` row store with Algorithm 1's cached-norm updates and
-  one stacked ``(k,2,2) @ (k,2,width)`` matmul per round.
+  one stacked ``(k,2,2) @ (k,2,width)`` matmul per round.  It is the
+  round kernel of both the fp32 bulk phase and the mixed schedule's
+  fp64 finishing sweeps (which the engine drives through
+  :func:`repro.core.convergence.run_sweeps` on a float64 store).
 * :func:`fp32_phase` runs bulk float32 sweeps until the scale-free
   off-diagonal estimate drops below the switch threshold (or the fp32
   noise floor, or the sweeps stop making progress).
 * :func:`polar_orthonormalize` is the mixed schedule's handoff step —
   two Newton-Schulz iterations that strip V of its fp32 orthogonality
   defect so the fp64 finish can reach the fp64 accuracy class.
-* :func:`fused_fp64_finish` runs the finishing sweeps in float64 on
-  the same fused store.
 
 None of this carries the reference loop's bit-identity contract (only
 the engine's default fp64 path does), which is what lets every routine
 here trade exact arithmetic order for a large constant-factor win.
-The sweep loops take their round schedules as a zero-argument
+The fp32 phase takes its round schedule as a zero-argument
 ``make_plan`` callable built by the vectorized engine, so this module
 never imports it back — the dependency points one way.
 """
@@ -32,15 +33,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.blocked import batch_rotation_params
-from repro.core.convergence import ConvergenceCriterion, ConvergenceTrace, measure
+from repro.core.convergence import (
+    ConvergenceCriterion,
+    ConvergenceTrace,
+    measure,
+    run_sweeps,
+)
 from repro.core.hestenes import FlopCounter
-from repro.obs import noop_span, round_detail, span
-from repro.obs.health import sweep_guard
 
 __all__ = [
     "FusedSweeper",
     "fp32_phase",
-    "fused_fp64_finish",
     "polar_orthonormalize",
     "lean_rotation_params",
     "compile_fused_plan",
@@ -245,7 +248,6 @@ def fp32_phase(
     rotation_impl: str,
     switch_tol: float | None,
     budget: int,
-    initial_estimate: float,
     trace: ConvergenceTrace,
     flops: FlopCounter | None,
 ) -> tuple[np.ndarray, int, bool]:
@@ -273,85 +275,36 @@ def fp32_phase(
         flops=flops,
     )
 
-    low_converged = False
-    sweeps_done = 0
-    prev_est = float("inf")
-    est = initial_estimate
-    rspan = span if round_detail() else noop_span
-    for sweep in range(1, budget + 1):
-        plan = make_plan()
-        with span(
-            "core.sweep", method="vectorized", sweep=sweep, precision="fp32"
-        ) as sweep_span:
-            rotations, skipped = sweeper.sweep(plan, rspan)
-            sweeps_done = sweep
-            bpart = w[:, :m]
-            g = bpart @ bpart.T
-            value = measure(g, criterion.metric)
-            est = float(measure(g, "relative"))
-            trace.record(sweep, value, rotations, skipped)
-            sweep_guard("vectorized", sweep, value)
-            sweep_span.set_attrs(
-                rotations=rotations, skipped=skipped, off_diagonal=value
-            )
-        if rotations == 0 or criterion.satisfied(value):
-            low_converged = True
-            break
-        if switch_tol is not None and est <= switch_tol:
-            break
-        if est <= FP32_EST_FLOOR or est >= prev_est:
-            # fp32 noise floor reached, or the sweep stopped improving
-            # the estimate — burning more cheap sweeps cannot help.
-            break
+    est = prev_est = float("inf")
+
+    def metric_value():
+        nonlocal est
+        bpart = w[:, :m]
+        g = bpart @ bpart.T
+        est = float(measure(g, "relative"))
+        return measure(g, criterion.metric)
+
+    def stop():
+        # Hand over at switch_tol; otherwise stop at the fp32 noise
+        # floor or once a sweep stops improving the estimate — burning
+        # more cheap sweeps cannot help.
+        nonlocal prev_est
+        done = (
+            (switch_tol is not None and est <= switch_tol)
+            or est <= FP32_EST_FLOOR
+            or est >= prev_est
+        )
         prev_est = est
-    return w, sweeps_done, low_converged
+        return done
 
-
-def fused_fp64_finish(
-    w: np.ndarray,
-    m: int,
-    *,
-    criterion: ConvergenceCriterion,
-    make_plan,
-    pair_threshold: float,
-    rotation_impl: str,
-    trace: ConvergenceTrace,
-    flops: FlopCounter | None,
-    start_sweep: int,
-) -> tuple[int, bool]:
-    """fp64 finishing sweeps of the mixed schedule, on a fused store.
-
-    Same stopping rules and trace schema as the vectorized engine's
-    fp64 sweep loop but runs the :class:`FusedSweeper` kernel in
-    float64 — the mixed schedule carries no bit-identity contract with
-    the reference loop (only the default fp64 path does), so its
-    finishing sweeps can use the fused store's cheaper
-    gather/matmul/scatter round shape too.  Returns ``(sweeps_done,
-    converged)`` with ``sweeps_done`` absolute.
-    """
-    sweeper = FusedSweeper(
-        w,
-        m,
-        pair_threshold=pair_threshold,
-        rotation_impl=rotation_impl,
-        flops=flops,
+    sweeps_done, low_converged = run_sweeps(
+        lambda index, rspan: sweeper.sweep(make_plan(), rspan),
+        metric_value,
+        method="vectorized",
+        criterion=criterion,
+        trace=trace,
+        last=budget,
+        stop=stop,
+        precision="fp32",
     )
-    converged = False
-    sweeps_done = start_sweep
-    rspan = span if round_detail() else noop_span
-    for sweep in range(start_sweep + 1, criterion.max_sweeps + 1):
-        plan = make_plan()
-        with span("core.sweep", method="vectorized", sweep=sweep) as sweep_span:
-            rotations, skipped = sweeper.sweep(plan, rspan)
-            sweeps_done = sweep
-            bpart = w[:, :m]
-            value = measure(bpart @ bpart.T, criterion.metric)
-            trace.record(sweep, value, rotations, skipped)
-            sweep_guard("vectorized", sweep, value)
-            sweep_span.set_attrs(
-                rotations=rotations, skipped=skipped, off_diagonal=value
-            )
-        if rotations == 0 or criterion.satisfied(value):
-            converged = True
-            break
-    return sweeps_done, converged
+    return w, sweeps_done, low_converged

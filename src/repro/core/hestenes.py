@@ -21,16 +21,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion, ConvergenceTrace, measure
+from repro.core.convergence import (
+    ConvergenceCriterion,
+    ConvergenceTrace,
+    measure,
+    run_sweeps,
+)
 from repro.core.ordering import make_sweep
 from repro.core.result import SVDResult
 from repro.core.rotation import apply_rotation_columns, textbook_rotation
-from repro.obs import noop_span, round_detail, span
-from repro.obs.health import sweep_guard
+from repro.obs import span
 from repro.util.numerics import sort_svd
 from repro.util.validation import as_float_matrix
 
-__all__ = ["reference_svd", "FlopCounter", "finalize_columns"]
+__all__ = ["reference_svd", "FlopCounter", "finalize_columns", "finalize_sigma"]
 
 
 class FlopCounter:
@@ -123,47 +127,42 @@ def reference_svd(
     trace = ConvergenceTrace(metric=criterion.metric)
     trace.record(0, measure(b.T @ b, criterion.metric))
 
-    converged = False
-    sweeps_done = 0
-    rspan = span if round_detail() else noop_span
-    for sweep in range(1, criterion.max_sweeps + 1):
-        with span("core.sweep", method="reference", sweep=sweep) as sweep_span:
-            rotations = 0
-            skipped = 0
-            for round_index, round_pairs in enumerate(make_sweep(n, ordering, seed)):
-                with rspan("core.round", round=round_index, pairs=len(round_pairs)):
-                    for i, j in round_pairs:
-                        bi = b[:, i]
-                        bj = b[:, j]
-                        norm_i = float(bi @ bi)
-                        norm_j = float(bj @ bj)
-                        cov = float(bi @ bj)
-                        if flops is not None:
-                            flops.add_pair(m)
-                        # sqrt per factor: the product ni*nj overflows for
-                        # squared norms above 1e154 (columns of scale ~1e77).
-                        if abs(cov) <= (
-                            pair_threshold * np.sqrt(norm_i) * np.sqrt(norm_j)
-                        ):
-                            skipped += 1
-                            continue
-                        params = textbook_rotation(norm_i, norm_j, cov)
-                        apply_rotation_columns(b, i, j, params)
-                        if v is not None:
-                            apply_rotation_columns(v, i, j, params)
-                        if flops is not None:
-                            flops.add_update(m)
-                        rotations += 1
-            sweeps_done = sweep
-            value = measure(b.T @ b, criterion.metric)
-            trace.record(sweep, value, rotations, skipped)
-            sweep_guard("reference", sweep, value)
-            sweep_span.set_attrs(
-                rotations=rotations, skipped=skipped, off_diagonal=value
-            )
-        if rotations == 0 or criterion.satisfied(value):
-            converged = True
-            break
+    def sweep(index, rspan):
+        rotations = 0
+        skipped = 0
+        for round_index, round_pairs in enumerate(make_sweep(n, ordering, seed)):
+            with rspan("core.round", round=round_index, pairs=len(round_pairs)):
+                for i, j in round_pairs:
+                    bi = b[:, i]
+                    bj = b[:, j]
+                    norm_i = float(bi @ bi)
+                    norm_j = float(bj @ bj)
+                    cov = float(bi @ bj)
+                    if flops is not None:
+                        flops.add_pair(m)
+                    # sqrt per factor: the product ni*nj overflows for
+                    # squared norms above 1e154 (columns of scale ~1e77).
+                    if abs(cov) <= (
+                        pair_threshold * np.sqrt(norm_i) * np.sqrt(norm_j)
+                    ):
+                        skipped += 1
+                        continue
+                    params = textbook_rotation(norm_i, norm_j, cov)
+                    apply_rotation_columns(b, i, j, params)
+                    if v is not None:
+                        apply_rotation_columns(v, i, j, params)
+                    if flops is not None:
+                        flops.add_update(m)
+                    rotations += 1
+        return rotations, skipped
+
+    sweeps_done, converged = run_sweeps(
+        sweep,
+        lambda: measure(b.T @ b, criterion.metric),
+        method="reference",
+        criterion=criterion,
+        trace=trace,
+    )
     trace.converged = converged
 
     s, u, vt = finalize_columns(b, v, compute_uv=compute_uv)
@@ -184,34 +183,44 @@ def finalize_columns(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Extract ``(s, u, vt)`` from orthogonalized columns ``B = A V``.
 
-    Singular values are the column norms of *b*; left vectors are the
-    normalized non-negligible columns, with the zero-singular-value
-    columns completed to an orthonormal basis so ``UᵀU = I`` always
-    holds.  Shared by every column-space engine (reference and
-    vectorized) so their finalization is bit-identical.
+    Singular values are the column norms of *b*; the left factor is
+    built by :func:`finalize_sigma`.  Shared by every column-space
+    engine (reference, vectorized, block Jacobi) so their finalization
+    is bit-identical.
     """
-    with span("core.finalize", m=b.shape[0], n=b.shape[1]):
-        return _finalize_columns(b, v, compute_uv=compute_uv)
-
-
-def _finalize_columns(
-    b: np.ndarray, v: np.ndarray | None, *, compute_uv: bool
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     m, n = b.shape
-    norms = np.linalg.norm(b, axis=0)
+    with span("core.finalize", m=m, n=n):
+        norms = np.linalg.norm(b, axis=0)
+        if not compute_uv:
+            b = v = None
+        return finalize_sigma(norms, m, b, v)
+
+
+def finalize_sigma(
+    sigma: np.ndarray, m: int, b: np.ndarray | None, v: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Economy ``(s, u, vt)`` from column scales *sigma* of ``B = A V``.
+
+    *sigma* holds the n (unsorted) singular-value estimates and *m* is
+    the row count.  With ``v=None`` only the sorted values are
+    returned.  Otherwise the left vectors are the columns of *b*
+    divided by *sigma* where it exceeds ``max(sigma) * max(m, n) *
+    eps``; the columns of (numerically) zero singular values are
+    completed to an orthonormal set so ``UᵀU = I`` always holds.  The
+    one U-completion path of every engine.
+    """
+    n = sigma.shape[0]
     k = min(m, n)
-    if not compute_uv:
-        _, s, _ = sort_svd(None, norms, None)
+    if v is None:
+        _, s, _ = sort_svd(None, sigma, None)
         return s[:k], None, None
-    u_full = np.zeros_like(b)
-    s_max = float(np.max(norms)) if norms.size else 0.0
+    u_full = np.zeros((m, n))
+    s_max = float(np.max(sigma)) if sigma.size else 0.0
     cutoff = s_max * max(m, n) * np.finfo(np.float64).eps
-    nonzero = norms > cutoff
-    u_full[:, nonzero] = b[:, nonzero] / norms[nonzero]
-    u, s, vt = sort_svd(u_full, norms, v.T)
+    nonzero = sigma > cutoff
+    u_full[:, nonzero] = b[:, nonzero] / sigma[nonzero]
+    u, s, vt = sort_svd(u_full, sigma, v.T)
     u, s, vt = u[:, :k], s[:k], vt[:k, :]
-    # Columns of U belonging to (numerically) zero singular values are
-    # completed to an orthonormal set so UᵀU = I always holds.
     zero_cols = np.linalg.norm(u, axis=0) < 0.5
     if np.any(zero_cols):
         u = _complete_orthonormal(u, zero_cols)

@@ -28,9 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion, ConvergenceTrace, measure
-from repro.core.hestenes import _complete_orthonormal
+from repro.core.convergence import (
+    ConvergenceCriterion,
+    ConvergenceTrace,
+    measure,
+    run_sweeps,
+)
+from repro.core.hestenes import finalize_sigma
 from repro.core.ordering import make_sweep
+from repro.core.registry import ROTATION_IMPLS, TRACK_COLUMN_MODES
 from repro.core.result import SVDResult
 from repro.core.rotation import (
     RotationParams,
@@ -39,15 +45,16 @@ from repro.core.rotation import (
     dataflow_rotation,
     textbook_rotation,
 )
-from repro.obs import noop_span, round_detail, span
-from repro.obs.health import sweep_guard
-from repro.util.numerics import sort_svd
+from repro.obs import span
 from repro.util.validation import as_float_matrix, check_in_choices
 
-__all__ = ["modified_svd", "gram_matrix", "TRACK_COLUMN_MODES", "ROTATION_IMPLS"]
-
-TRACK_COLUMN_MODES = ("always", "first_sweep", "never")
-ROTATION_IMPLS = ("textbook", "dataflow")
+__all__ = [
+    "modified_svd",
+    "gram_matrix",
+    "gram_finalize",
+    "TRACK_COLUMN_MODES",
+    "ROTATION_IMPLS",
+]
 
 
 def gram_matrix(a: np.ndarray) -> np.ndarray:
@@ -133,7 +140,7 @@ def modified_svd(
     rotate = _rotation_fn(rotation_impl)
     criterion = criterion or ConvergenceCriterion(max_sweeps=6, tol=None)
 
-    m, n = a.shape
+    n = a.shape[1]
     d = gram_matrix(a)
     track_b = track_columns != "never"
     b = a.copy() if track_b else None
@@ -142,47 +149,40 @@ def modified_svd(
     trace = ConvergenceTrace(metric=criterion.metric)
     trace.record(0, measure(d, criterion.metric))
 
-    converged = False
-    sweeps_done = 0
-    rspan = span if round_detail() else noop_span
-    for sweep in range(1, criterion.max_sweeps + 1):
-        update_cols = b is not None and (track_columns == "always" or sweep == 1)
-        with span("core.sweep", method="modified", sweep=sweep) as sweep_span:
-            rotations = 0
-            skipped = 0
-            for round_index, round_pairs in enumerate(make_sweep(n, ordering, seed)):
-                with rspan("core.round", round=round_index, pairs=len(round_pairs)):
-                    for i, j in round_pairs:
-                        cov = d[i, j]
-                        norm_i = d[i, i]
-                        norm_j = d[j, j]
-                        # sqrt per factor: the product would overflow for
-                        # squared norms above 1e154.
-                        guard = np.sqrt(max(norm_i, 0.0)) * np.sqrt(
-                            max(norm_j, 0.0)
-                        )
-                        if cov == 0.0 or abs(cov) <= pair_threshold * guard:
-                            skipped += 1
-                            continue
-                        params: RotationParams = rotate(norm_i, norm_j, cov)
-                        apply_rotation_gram(d, i, j, params, cov)
-                        if update_cols:
-                            apply_rotation_columns(b, i, j, params)
-                        if v is not None:
-                            apply_rotation_columns(v, i, j, params)
-                        rotations += 1
-            sweeps_done = sweep
-            if refresh_every is not None and sweep % refresh_every == 0:
-                d = gram_matrix(b)  # the scrub: one extra preprocessor pass
-            value = measure(d, criterion.metric)
-            trace.record(sweep, value, rotations, skipped)
-            sweep_guard("modified", sweep, value)
-            sweep_span.set_attrs(
-                rotations=rotations, skipped=skipped, off_diagonal=value
-            )
-        if rotations == 0 or criterion.satisfied(value):
-            converged = True
-            break
+    def sweep(index, rspan):
+        update_cols = b is not None and (track_columns == "always" or index == 1)
+        rotations = 0
+        skipped = 0
+        for round_index, round_pairs in enumerate(make_sweep(n, ordering, seed)):
+            with rspan("core.round", round=round_index, pairs=len(round_pairs)):
+                for i, j in round_pairs:
+                    cov = d[i, j]
+                    norm_i = d[i, i]
+                    norm_j = d[j, j]
+                    # sqrt per factor: the product would overflow for
+                    # squared norms above 1e154.
+                    guard = np.sqrt(max(norm_i, 0.0)) * np.sqrt(max(norm_j, 0.0))
+                    if cov == 0.0 or abs(cov) <= pair_threshold * guard:
+                        skipped += 1
+                        continue
+                    params: RotationParams = rotate(norm_i, norm_j, cov)
+                    apply_rotation_gram(d, i, j, params, cov)
+                    if update_cols:
+                        apply_rotation_columns(b, i, j, params)
+                    if v is not None:
+                        apply_rotation_columns(v, i, j, params)
+                    rotations += 1
+        if refresh_every is not None and index % refresh_every == 0:
+            d[...] = gram_matrix(b)  # the scrub: one extra preprocessor pass
+        return rotations, skipped
+
+    sweeps_done, converged = run_sweeps(
+        sweep,
+        lambda: measure(d, criterion.metric),
+        method="modified",
+        criterion=criterion,
+        trace=trace,
+    )
     trace.converged = converged
 
     if polish:
@@ -190,47 +190,41 @@ def modified_svd(
             raise ValueError("polish requires compute_uv=True")
         return _polish(a, v, sweeps_done, trace, criterion)
 
+    s, u, vt = gram_finalize(d, a, b, v, track_columns=track_columns)
+    return SVDResult(
+        s=s,
+        u=u,
+        vt=vt,
+        sweeps=sweeps_done,
+        trace=trace,
+        method="modified",
+        converged=converged,
+    )
+
+
+def gram_finalize(
+    d: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray | None,
+    v: np.ndarray | None,
+    *,
+    track_columns: str,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Finalize a cached-Gram run into ``(s, u, vt)``.
+
+    Algorithm 1 lines 28-29: singular values are ``sqrt(diag(D))``.
+    With ``v=None`` only the values are returned; otherwise the left
+    factor comes from the tracked columns *b* when they were updated
+    every sweep (``track_columns="always"``), else from ``A V``
+    (eq. 7).  Shared by the modified and blocked engines.
+    """
+    m, n = a.shape
     with span("core.finalize", m=m, n=n):
-        # Algorithm 1 lines 28-29: singular values from the diagonal of D.
         diag = np.diag(d).copy()
         diag[diag < 0.0] = 0.0  # roundoff can leave tiny negatives
-        sigma_all = np.sqrt(diag)
-        k = min(m, n)
-
-        if not compute_uv:
-            _, s, _ = sort_svd(None, sigma_all, None)
-            return SVDResult(
-                s=s[:k],
-                sweeps=sweeps_done,
-                trace=trace,
-                method="modified",
-                converged=converged,
-            )
-
-        # Left factor: from tracked columns when exact, else via eq. (7).
-        if track_columns == "always":
-            b_final = b
-        else:
-            b_final = a @ v
-        u_full = np.zeros((m, n))
-        s_max = float(np.max(sigma_all)) if sigma_all.size else 0.0
-        cutoff = s_max * max(m, n) * np.finfo(np.float64).eps
-        nonzero = sigma_all > cutoff
-        u_full[:, nonzero] = b_final[:, nonzero] / sigma_all[nonzero]
-        u, s, vt = sort_svd(u_full, sigma_all, v.T)
-        u, s, vt = u[:, :k], s[:k], vt[:k, :]
-        zero_cols = np.linalg.norm(u, axis=0) < 0.5
-        if np.any(zero_cols):
-            u = _complete_orthonormal(u, zero_cols)
-        return SVDResult(
-            s=s,
-            u=u,
-            vt=vt,
-            sweeps=sweeps_done,
-            trace=trace,
-            method="modified",
-            converged=converged,
-        )
+        if v is not None and track_columns != "always":
+            b = a @ v
+        return finalize_sigma(np.sqrt(diag), m, b, v)
 
 
 def _polish(a, v, cached_sweeps, trace, criterion):

@@ -37,6 +37,13 @@ __all__ = [
     "METHODS",
 ]
 
+# Engine-option vocabularies, defined once.  This module imports no
+# engine, so the engines (which re-export these names) and the serving
+# layer can share them without importing each other.
+ROTATION_IMPLS = ("textbook", "dataflow")
+TRACK_COLUMN_MODES = ("always", "first_sweep", "never")
+PRECISIONS = ("fp64", "mixed", "fp32")
+
 
 @dataclass(frozen=True)
 class EngineSpec:
@@ -194,10 +201,6 @@ def _positive_float(value) -> None:
     check_positive_float(value, name="switch_tol")
 
 
-_ROTATION_IMPLS = ("textbook", "dataflow")
-_PRECISIONS = ("fp64", "mixed", "fp32")
-_TRACK_MODES = ("always", "first_sweep", "never")
-
 register_engine(EngineSpec(
     name="reference",
     fn=_run_reference,
@@ -209,26 +212,26 @@ register_engine(EngineSpec(
     name="modified",
     fn=_run_modified,
     supported_orderings=ORDERINGS,
-    options_schema={"rotation_impl": _ROTATION_IMPLS,
-                    "track_columns": _TRACK_MODES},
+    options_schema={"rotation_impl": ROTATION_IMPLS,
+                    "track_columns": TRACK_COLUMN_MODES},
     description="Algorithm 1 with covariance caching, sequential order",
 ))
 register_engine(EngineSpec(
     name="blocked",
     fn=_run_blocked,
     supported_orderings=("cyclic",),
-    options_schema={"rotation_impl": _ROTATION_IMPLS,
-                    "track_columns": _TRACK_MODES},
+    options_schema={"rotation_impl": ROTATION_IMPLS,
+                    "track_columns": TRACK_COLUMN_MODES},
     description="hardware-scheduled round-parallel modified algorithm",
 ))
 register_engine(EngineSpec(
     name="vectorized",
     fn=_run_vectorized,
     supported_orderings=ORDERINGS,
-    options_schema={"rotation_impl": _ROTATION_IMPLS,
+    options_schema={"rotation_impl": ROTATION_IMPLS,
                     "block_rounds": _positive_int,
                     "pair_threshold": None,
-                    "precision": _PRECISIONS,
+                    "precision": PRECISIONS,
                     "switch_tol": _positive_float},
     description="round-parallel column-space engine with batched rotations "
                 "and fp64/mixed/fp32 precision schedules",

@@ -20,8 +20,7 @@ the paper's algorithm:
   independent sweep cost and full relative accuracy.
 
 Engine-specific knobs travel in the validated ``engine_opts`` mapping
-(``{"block_rounds": 4}``, ``{"pivot": False}``, ...); the historical
-``block_rounds=`` keyword still works as a deprecation shim.  Adding an
+(``{"block_rounds": 4}``, ``{"pivot": False}``, ...).  Adding an
 engine is one :func:`repro.core.registry.register_engine` call — the
 serving layer and CLI resolve engines through the same registry.
 
@@ -31,8 +30,6 @@ the blocked implementation with the timing and resource models.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.registry import METHODS, resolve_engine
@@ -70,7 +67,6 @@ def hestenes_svd(
     track_columns: str = "first_sweep",
     precision: str = "fp64",
     engine_opts=None,
-    block_rounds: int | None = None,
     seed=None,
 ) -> SVDResult:
     """Singular value decomposition by the Hestenes-Jacobi method.
@@ -114,10 +110,6 @@ def hestenes_svd(
         ``options_schema`` — e.g. ``{"block_rounds": 4}`` for the
         vectorized engine or ``{"pivot": False}`` for preconditioned.
         Unknown options and out-of-range values raise ``ValueError``.
-    block_rounds : int, optional
-        Deprecated alias for ``engine_opts={"block_rounds": ...}``
-        (round-fusion width of the vectorized engine); emits a
-        ``DeprecationWarning``.
     seed
         Used only by the "random" ordering.
 
@@ -156,15 +148,6 @@ def hestenes_svd(
             f'precision={precision!r} is only available on engines '
             f'declaring a "precision" engine_opt (e.g. "vectorized")'
         )
-    if block_rounds is not None:
-        warnings.warn(
-            "hestenes_svd(block_rounds=...) is deprecated; pass "
-            "engine_opts={'block_rounds': ...} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if block_rounds != 1:
-            opts.setdefault("block_rounds", block_rounds)
     opts = spec.validate_options(opts)
     criterion = ConvergenceCriterion(max_sweeps=max_sweeps, tol=tol, metric=metric)
     result = spec.fn(
@@ -205,7 +188,6 @@ class HestenesJacobiSVD:
             "track_columns",
             "precision",
             "engine_opts",
-            "block_rounds",
             "seed",
         }
         unknown = set(options) - valid

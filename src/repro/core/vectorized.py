@@ -33,9 +33,10 @@ The ``precision`` knob selects the working-precision schedule:
 ``"mixed"`` (cheap float32 bulk sweeps, then a re-derived fp64 handoff
 and double-precision finishing sweeps — same final accuracy class as
 fp64), and ``"fp32"`` (float32 throughout, the documented ~1e-5
-class).  The reduced-precision kernel — the fused ``[Bᵀ | Vᵀ]`` store,
-the fp32 phase, the Newton-Schulz handoff, and the fp64 finish — lives
-in :mod:`repro.core.fused`; ``tests/core/test_differential.py``
+class).  The reduced-precision machinery — the fused ``[Bᵀ | Vᵀ]``
+store kernel, the fp32 phase and the Newton-Schulz handoff — lives in
+:mod:`repro.core.fused`; the mixed schedule's fp64 finish runs that
+kernel on a float64 store.  ``tests/core/test_differential.py``
 enforces the per-tier tolerance schedule.  Finalization is always
 fp64.
 """
@@ -45,18 +46,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.blocked import batch_rotation_params
-from repro.core.convergence import ConvergenceCriterion, ConvergenceTrace, measure
+from repro.core.convergence import (
+    ConvergenceCriterion,
+    ConvergenceTrace,
+    measure,
+    run_sweeps,
+)
 from repro.core.fused import (
+    FusedSweeper,
     compile_fused_plan,
     fp32_phase,
-    fused_fp64_finish,
     polar_orthonormalize,
 )
 from repro.core.hestenes import FlopCounter, finalize_columns
 from repro.core.ordering import fuse_rounds, make_sweep
+from repro.core.registry import PRECISIONS
 from repro.core.result import SVDResult
-from repro.obs import noop_span, round_detail, span
-from repro.obs.health import sweep_guard
+from repro.obs import span
 from repro.util.validation import (
     as_float_matrix,
     check_in_choices,
@@ -71,9 +77,6 @@ __all__ = [
     "PRECISIONS",
     "DEFAULT_SWITCH_TOL",
 ]
-
-#: Working-precision schedules accepted by :func:`vectorized_svd`.
-PRECISIONS = ("fp64", "mixed", "fp32")
 
 #: Default ``switch_tol``: the scale-free off-diagonal estimate at
 #: which the mixed schedule hands over to fp64 finishing sweeps.  1e-5
@@ -170,15 +173,19 @@ def round_plan(
     return plan
 
 
-def _fused_plan_maker(n, ordering, seed, block_rounds):
-    """Zero-argument plan builder for the fused sweep loops
-    (:mod:`repro.core.fused`): static orderings compile once and return
-    the same plan every sweep; "random" recompiles per call."""
+def _plan_maker(n, ordering, seed, block_rounds, *, fused=False):
+    """Zero-argument sweep-schedule builder: static orderings build the
+    :func:`round_plan` once and return it every sweep; "random"
+    rebuilds it per call.  ``fused=True`` compiles it for the fused
+    kernel (:func:`repro.core.fused.compile_fused_plan`)."""
+
+    def build():
+        plan = round_plan(n, ordering, seed, block_rounds)
+        return compile_fused_plan(plan) if fused else plan
+
     if ordering == "random":
-        return lambda: compile_fused_plan(
-            round_plan(n, ordering, seed, block_rounds)
-        )
-    plan = compile_fused_plan(round_plan(n, ordering, seed, block_rounds))
+        return build
+    plan = build()
     return lambda: plan
 
 
@@ -194,71 +201,56 @@ def _fp64_sweep_loop(
     rotation_impl: str,
     trace: ConvergenceTrace,
     flops: FlopCounter | None,
-    start_sweep: int = 0,
 ) -> tuple[int, bool]:
     """The double-precision sweep loop over the transposed stores.
 
-    This is the engine's reference-precision round path; the fp64 and
-    mixed schedules both run it (the latter with ``start_sweep`` set to
-    the fp32 sweep count so trace numbering stays contiguous).  Returns
-    ``(sweeps_done, converged)`` with ``sweeps_done`` absolute.
+    This is the engine's reference-precision round path, run by the
+    default fp64 schedule and by a mixed run whose input is already
+    below ``switch_tol`` (the mixed schedule's finishing sweeps use the
+    fused store instead).  Returns ``(sweeps_done, converged)``.
     """
     n, m = bt.shape
-    static_plan = (
-        None
-        if ordering == "random"
-        else round_plan(n, ordering, seed, block_rounds)
+    make_plan = _plan_maker(n, ordering, seed, block_rounds)
+
+    def sweep(index, rspan):
+        rotations = 0
+        skipped = 0
+        for round_index, (idx_i, idx_j) in enumerate(make_plan()):
+            with rspan("core.round", round=round_index, pairs=len(idx_i)):
+                norm_i, norm_j, cov = _row_dots(bt, idx_i, idx_j)
+                if flops is not None:
+                    flops.add_pairs(m, len(idx_i))
+                # sqrt per factor: the product norm_i*norm_j overflows
+                # for squared norms above 1e154 (columns of scale ~1e77).
+                active = np.abs(cov) > pair_threshold * np.sqrt(
+                    norm_i
+                ) * np.sqrt(norm_j)
+                n_active = int(np.count_nonzero(active))
+                skipped += len(idx_i) - n_active
+                if n_active == 0:
+                    continue
+                rotations += n_active
+                if n_active < len(idx_i):
+                    idx_i, idx_j = idx_i[active], idx_j[active]
+                    norm_i, norm_j = norm_i[active], norm_j[active]
+                    cov = cov[active]
+                c, s, _, _ = batch_rotation_params(
+                    norm_i, norm_j, cov, rotation_impl=rotation_impl
+                )
+                _apply_round_rows(bt, idx_i, idx_j, c, s)
+                if vt is not None:
+                    _apply_round_rows(vt, idx_i, idx_j, c, s)
+                if flops is not None:
+                    flops.add_updates(m, n_active)
+        return rotations, skipped
+
+    return run_sweeps(
+        sweep,
+        lambda: measure(bt @ bt.T, criterion.metric),
+        method="vectorized",
+        criterion=criterion,
+        trace=trace,
     )
-    converged = False
-    sweeps_done = start_sweep
-    rspan = span if round_detail() else noop_span
-    for sweep in range(start_sweep + 1, criterion.max_sweeps + 1):
-        plan = (
-            static_plan
-            if static_plan is not None
-            else round_plan(n, ordering, seed, block_rounds)
-        )
-        with span("core.sweep", method="vectorized", sweep=sweep) as sweep_span:
-            rotations = 0
-            skipped = 0
-            for round_index, (idx_i, idx_j) in enumerate(plan):
-                with rspan("core.round", round=round_index, pairs=len(idx_i)):
-                    norm_i, norm_j, cov = _row_dots(bt, idx_i, idx_j)
-                    if flops is not None:
-                        flops.add_pairs(m, len(idx_i))
-                    # sqrt per factor: the product norm_i*norm_j overflows
-                    # for squared norms above 1e154 (columns of scale ~1e77).
-                    active = np.abs(cov) > pair_threshold * np.sqrt(
-                        norm_i
-                    ) * np.sqrt(norm_j)
-                    n_active = int(np.count_nonzero(active))
-                    skipped += len(idx_i) - n_active
-                    if n_active == 0:
-                        continue
-                    rotations += n_active
-                    if n_active < len(idx_i):
-                        idx_i, idx_j = idx_i[active], idx_j[active]
-                        norm_i, norm_j = norm_i[active], norm_j[active]
-                        cov = cov[active]
-                    c, s, _, _ = batch_rotation_params(
-                        norm_i, norm_j, cov, rotation_impl=rotation_impl
-                    )
-                    _apply_round_rows(bt, idx_i, idx_j, c, s)
-                    if vt is not None:
-                        _apply_round_rows(vt, idx_i, idx_j, c, s)
-                    if flops is not None:
-                        flops.add_updates(m, n_active)
-            sweeps_done = sweep
-            value = measure(bt @ bt.T, criterion.metric)
-            trace.record(sweep, value, rotations, skipped)
-            sweep_guard("vectorized", sweep, value)
-            sweep_span.set_attrs(
-                rotations=rotations, skipped=skipped, off_diagonal=value
-            )
-        if rotations == 0 or criterion.satisfied(value):
-            converged = True
-            break
-    return sweeps_done, converged
 
 
 def vectorized_svd(
@@ -313,8 +305,8 @@ def vectorized_svd(
     precision : {"fp64", "mixed", "fp32"}
         Working-precision schedule (see the module docstring).  "mixed"
         runs cheap float32 bulk sweeps, then re-orthonormalizes V,
-        recomputes ``B = A @ V`` in fp64 and finishes on the standard
-        double-precision path — same final accuracy class as "fp64".
+        recomputes ``B = A @ V`` in fp64 and finishes with float64
+        sweeps — same final accuracy class as "fp64".
         "fp32" stays in float32 throughout (documented ~1e-5 class).
         Finalization is always fp64.
     switch_tol : float, optional
@@ -359,118 +351,83 @@ def vectorized_svd(
     trace.record(0, measure(g0, criterion.metric))
 
     fp32_sweeps = 0
-    low_converged = False
     if precision != "fp64":
         est0 = float(measure(g0, "relative"))
-        run_low = precision == "fp32" or est0 > switch_tol
-        if run_low:
+        if precision == "fp32" or est0 > switch_tol:
+            make_plan = _plan_maker(n, ordering, seed, block_rounds, fused=True)
             budget = (
                 criterion.max_sweeps
                 if precision == "fp32"
                 else max(1, criterion.max_sweeps - _RESERVED_FP64_SWEEPS)
             )
-            w, fp32_sweeps, low_converged = fp32_phase(
+            w, fp32_sweeps, converged = fp32_phase(
                 a,
                 criterion=criterion,
-                make_plan=_fused_plan_maker(n, ordering, seed, block_rounds),
+                make_plan=make_plan,
                 pair_threshold=pair_threshold,
                 rotation_impl=rotation_impl,
                 switch_tol=switch_tol if precision == "mixed" else None,
                 budget=budget,
-                initial_estimate=est0,
                 trace=trace,
                 flops=flops,
             )
-        if precision == "fp32":
-            # Cheap tier: upcast the finished fp32 factors as-is.
-            trace.converged = low_converged
-            b = np.ascontiguousarray(w[:, :m].T, dtype=np.float64)
-            v = (
-                np.ascontiguousarray(w[:, m:].T, dtype=np.float64)
-                if compute_uv
-                else None
-            )
-            s_vals, u, out_vt = finalize_columns(b, v, compute_uv=compute_uv)
-            return SVDResult(
-                s=s_vals,
-                u=u,
-                vt=out_vt,
-                sweeps=fp32_sweeps,
-                trace=trace,
-                method="vectorized",
-                converged=low_converged,
-                precision=precision,
-                fp32_sweeps=fp32_sweeps,
-            )
-        if fp32_sweeps:
-            # Mixed handoff: re-derive the fp64 state rather than
-            # upcasting it.  V's fp32 orthogonality defect is polished
-            # away by the polar iteration, then B is recomputed from
-            # the *original* fp64 input so no fp32 rounding survives
-            # into the finishing sweeps.
-            with span(
-                "core.precision_switch",
-                method="vectorized",
-                fp32_sweeps=fp32_sweeps,
-            ):
-                v = np.ascontiguousarray(w[:, m:].T, dtype=np.float64)
-                v = polar_orthonormalize(v)
-                width = m + n if compute_uv else m
-                w64 = np.empty((n, width), dtype=np.float64)
-                w64[:, :m] = (a @ v).T
-                if compute_uv:
-                    w64[:, m:] = v.T
-            sweeps_done, converged = fused_fp64_finish(
-                w64,
-                m,
-                criterion=criterion,
-                make_plan=_fused_plan_maker(n, ordering, seed, block_rounds),
-                pair_threshold=pair_threshold,
-                rotation_impl=rotation_impl,
-                trace=trace,
-                flops=flops,
-                start_sweep=fp32_sweeps,
-            )
-            trace.converged = converged
-            b = np.ascontiguousarray(w64[:, :m].T)
-            v_fin = (
-                np.ascontiguousarray(w64[:, m:].T) if compute_uv else None
-            )
-            s_vals, u, out_vt = finalize_columns(
-                b, v_fin, compute_uv=compute_uv
-            )
-            return SVDResult(
-                s=s_vals,
-                u=u,
-                vt=out_vt,
-                sweeps=sweeps_done,
-                trace=trace,
-                method="vectorized",
-                converged=converged,
-                precision=precision,
-                fp32_sweeps=fp32_sweeps,
-            )
-        # else: the input was already below switch_tol (e.g. diagonal)
-        # — the zero-fp32-round early exit runs the pure fp64 path on
-        # the untouched stores.
 
-    sweeps_done, converged = _fp64_sweep_loop(
-        bt,
-        vt,
-        criterion=criterion,
-        ordering=ordering,
-        seed=seed,
-        block_rounds=block_rounds,
-        pair_threshold=pair_threshold,
-        rotation_impl=rotation_impl,
-        trace=trace,
-        flops=flops,
-        start_sweep=fp32_sweeps,
-    )
+    if precision == "fp32":
+        # Cheap tier: the finished fp32 factors are upcast as-is.
+        sweeps_done = fp32_sweeps
+    elif fp32_sweeps:
+        # Mixed handoff: re-derive the fp64 state rather than upcasting
+        # it.  V's fp32 orthogonality defect is polished away by the
+        # polar iteration, then B is recomputed from the *original*
+        # fp64 input so no fp32 rounding survives into the finishing
+        # sweeps, which run the fused kernel in float64.
+        with span(
+            "core.precision_switch",
+            method="vectorized",
+            fp32_sweeps=fp32_sweeps,
+        ):
+            v = np.ascontiguousarray(w[:, m:].T, dtype=np.float64)
+            v = polar_orthonormalize(v)
+            w = np.empty((n, m + n if compute_uv else m), dtype=np.float64)
+            w[:, :m] = (a @ v).T
+            if compute_uv:
+                w[:, m:] = v.T
+        sweeper = FusedSweeper(
+            w,
+            m,
+            pair_threshold=pair_threshold,
+            rotation_impl=rotation_impl,
+            flops=flops,
+        )
+        sweeps_done, converged = run_sweeps(
+            lambda index, rspan: sweeper.sweep(make_plan(), rspan),
+            lambda: measure(w[:, :m] @ w[:, :m].T, criterion.metric),
+            method="vectorized",
+            criterion=criterion,
+            trace=trace,
+            start=fp32_sweeps,
+        )
+    else:
+        # fp64, or a mixed input already below switch_tol (e.g.
+        # diagonal): the standard path on the untouched stores.
+        sweeps_done, converged = _fp64_sweep_loop(
+            bt,
+            vt,
+            criterion=criterion,
+            ordering=ordering,
+            seed=seed,
+            block_rounds=block_rounds,
+            pair_threshold=pair_threshold,
+            rotation_impl=rotation_impl,
+            trace=trace,
+            flops=flops,
+        )
+        w = np.concatenate([bt, vt], axis=1) if compute_uv else bt
     trace.converged = converged
 
-    b = np.ascontiguousarray(bt.T)
-    v = None if vt is None else vt.T
+    # Finalization is always fp64, on the (n, m[+n]) [Bᵀ | Vᵀ] store.
+    b = np.ascontiguousarray(w[:, :m].T, dtype=np.float64)
+    v = np.ascontiguousarray(w[:, m:].T, dtype=np.float64) if compute_uv else None
     s_vals, u, out_vt = finalize_columns(b, v, compute_uv=compute_uv)
     return SVDResult(
         s=s_vals,

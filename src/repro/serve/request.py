@@ -252,8 +252,7 @@ def make_request(
         # here at submission: a worker-side failure would surface as a
         # degraded/error response long after the client could fix the
         # call, and the typed error names the fix.
-        from repro.core.registry import resolve_engine
-        from repro.core.vectorized import PRECISIONS
+        from repro.core.registry import PRECISIONS, resolve_engine
 
         check_in_choices(options["precision"], PRECISIONS, name="precision")
         if options["precision"] != "fp64":

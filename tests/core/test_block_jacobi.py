@@ -6,6 +6,7 @@ import pytest
 from repro.core.block_jacobi import block_jacobi_svd
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.modified import modified_svd
+from repro.obs import Tracer, use_tracer
 from tests.conftest import assert_valid_svd, random_matrix
 
 
@@ -64,3 +65,18 @@ class TestBlockConvergesFasterPerSweep:
         a = random_matrix(rng, 12, 8)
         res = block_jacobi_svd(a, block=4)
         assert res.trace.values[-1] < 1e-8 * res.trace.values[0]
+
+
+class TestBlockJacobiObservability:
+    def test_standard_sweep_and_finalize_spans(self, rng):
+        a = random_matrix(rng, 16, 10)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            res = block_jacobi_svd(a, block=4)
+        sweeps = tracer.find("core.sweep")
+        assert [sp.attrs["sweep"] for sp in sweeps] == list(
+            range(1, res.sweeps + 1))
+        assert {sp.attrs["method"] for sp in sweeps} == {"block_jacobi"}
+        assert [sp.attrs["rotations"] for sp in sweeps] == res.trace.rotations[1:]
+        assert len(tracer.find("core.finalize")) == 1
+

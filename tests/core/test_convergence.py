@@ -8,7 +8,11 @@ from repro.core.convergence import (
     ConvergenceCriterion,
     ConvergenceTrace,
     measure,
+    run_sweeps,
 )
+from repro.obs import Tracer, use_tracer
+from repro.obs.health import HealthError, fail_fast
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 
 class TestMeasure:
@@ -115,3 +119,99 @@ class TestConvergenceTrace:
 
     def test_to_csv_empty_trace_is_header_only(self):
         assert ConvergenceTrace().to_csv() == "sweep,mean_abs,rotations,skipped\n"
+
+
+class TestRunSweeps:
+    """The shared sweep driver every engine's round kernel runs under."""
+
+    @staticmethod
+    def _driver(values, rotations=1, **kwargs):
+        """Drive a scripted kernel: sweep k rotates *rotations* pairs
+        (skipping 2) and measures ``values[k - 1]``."""
+        calls = []
+
+        def sweep(index, rspan):
+            calls.append(index)
+            return rotations, 2
+
+        kwargs.setdefault("criterion", ConvergenceCriterion(max_sweeps=6))
+        trace = ConvergenceTrace()
+        done, converged = run_sweeps(
+            sweep, lambda: values[calls[-1] - 1], method="test",
+            trace=trace, **kwargs,
+        )
+        return done, converged, calls, trace
+
+    def test_sweeps_numbered_from_start_to_last(self):
+        done, converged, calls, trace = self._driver(
+            [1.0] * 6, start=2, last=5)
+        assert calls == [3, 4, 5]
+        assert trace.sweeps == [3, 4, 5]
+        assert trace.rotations == [1, 1, 1]
+        assert trace.skipped == [2, 2, 2]
+        assert (done, converged) == (5, False)
+
+    def test_budget_defaults_to_max_sweeps(self):
+        done, converged, calls, _ = self._driver([1.0] * 6)
+        assert calls == [1, 2, 3, 4, 5, 6]
+        assert (done, converged) == (6, False)
+
+    def test_empty_range_returns_start(self):
+        done, converged, calls, trace = self._driver([1.0], start=4, last=4)
+        assert calls == [] and trace.sweeps == []
+        assert (done, converged) == (4, False)
+
+    def test_stop_ends_loop_without_converging(self):
+        stops = iter([False, True])
+        done, converged, calls, _ = self._driver(
+            [1.0] * 6, stop=lambda: next(stops))
+        assert calls == [1, 2]
+        assert (done, converged) == (2, False)
+
+    def test_zero_rotation_sweep_converges(self):
+        done, converged, calls, trace = self._driver([1.0] * 6, rotations=0)
+        assert calls == [1]
+        assert trace.rotations == [0]
+        assert (done, converged) == (1, True)
+
+    def test_meeting_tol_converges_before_stop_is_asked(self):
+        def stop():
+            raise AssertionError("stop() consulted after convergence")
+
+        crit = ConvergenceCriterion(max_sweeps=6, tol=1e-3)
+        done, converged, calls, trace = self._driver(
+            [1e-1, 1e-4, 1.0], criterion=crit, stop=lambda: False)
+        assert (done, converged) == (2, True)
+        assert trace.values == [1e-1, 1e-4]
+        done, converged, _, _ = self._driver(
+            [1e-4], criterion=crit, stop=stop)
+        assert (done, converged) == (1, True)
+
+    def test_sweep_spans_carry_standard_attributes(self):
+        def sweep(index, rspan):
+            with rspan("core.round", round=0, pairs=3):
+                return 3, 1
+
+        tracer = Tracer(detail="round")
+        with use_tracer(tracer):
+            run_sweeps(
+                sweep, lambda: 0.5, method="test",
+                criterion=ConvergenceCriterion(max_sweeps=2),
+                trace=ConvergenceTrace(), precision="fp32",
+            )
+        sweeps = tracer.find("core.sweep")
+        assert [sp.attrs for sp in sweeps] == [
+            {"method": "test", "sweep": k, "precision": "fp32",
+             "rotations": 3, "skipped": 1, "off_diagonal": 0.5}
+            for k in (1, 2)
+        ]
+        rounds = tracer.find("core.round")
+        assert [r.parent_id for r in rounds] == [sp.span_id for sp in sweeps]
+
+    def test_nan_metric_trips_guard_in_fail_fast(self):
+        with use_registry(MetricsRegistry()) as reg, fail_fast():
+            with pytest.raises(HealthError, match="'test' at sweep 2"):
+                self._driver([0.5, float("nan"), 0.5])
+        snap = reg.snapshot()["counters"]
+        assert snap['engine_sweep_nonfinite{engine="test"}'] == 1
+

@@ -1,6 +1,5 @@
 """EngineSpec registry: lookup, validation, engine_opts, legacy shim."""
 
-import warnings
 
 import numpy as np
 import pytest
@@ -125,31 +124,11 @@ class TestEngineOptsDispatch:
                               engine_opts={"block_rounds": 2})
         assert np.array_equal(solver.decompose(a).s, direct.s)
 
+    def test_block_rounds_keyword_removed(self, rng):
+        # The deprecated top-level spelling is gone; engine_opts is the
+        # one way to pass the vectorized engine's fusion width.
+        with pytest.raises(TypeError):
+            hestenes_svd(rng.standard_normal((6, 4)), block_rounds=2)
+        with pytest.raises(TypeError, match="block_rounds"):
+            HestenesJacobiSVD(block_rounds=2)
 
-class TestBlockRoundsShim:
-    def test_deprecation_warning_emitted(self, rng):
-        a = rng.standard_normal((8, 4))
-        with pytest.warns(DeprecationWarning, match="block_rounds"):
-            hestenes_svd(a, method="vectorized", compute_uv=False,
-                         block_rounds=2)
-
-    def test_shim_equivalent_to_engine_opts(self, rng):
-        a = rng.standard_normal((12, 6))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = hestenes_svd(a, method="vectorized", block_rounds=3)
-        modern = hestenes_svd(a, method="vectorized",
-                              engine_opts={"block_rounds": 3})
-        assert np.array_equal(legacy.s, modern.s)
-        assert np.array_equal(legacy.u, modern.u)
-        assert np.array_equal(legacy.vt, modern.vt)
-
-    def test_default_value_legal_on_any_engine(self, rng):
-        # block_rounds=1 is the no-op default; the shim warns but must
-        # not fold it into engine_opts, so engines without the knob
-        # (e.g. blocked) still accept it as they historically did.
-        a = rng.standard_normal((6, 4))
-        with pytest.warns(DeprecationWarning):
-            res = hestenes_svd(a, method="blocked", compute_uv=False,
-                               block_rounds=1)
-        assert res.s.shape == (4,)

@@ -161,9 +161,6 @@ def test_block_rounds_bitwise_equivalent(rng):
 def test_block_rounds_validation():
     with pytest.raises(ValueError):
         vectorized_svd(np.eye(4), block_rounds=0)
-    with pytest.raises(ValueError, match="block_rounds"), \
-            pytest.warns(DeprecationWarning):
-        hestenes_svd(np.eye(4), method="blocked", block_rounds=2)
 
 
 def test_hestenes_svd_dispatches_vectorized(rng):
