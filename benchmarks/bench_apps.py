@@ -27,7 +27,7 @@ def test_pca_fit(benchmark):
 
 def test_pca_vs_golub_reinsch_backend(benchmark):
     data, _ = pca_dataset(200 * SCALE, 24 * SCALE, intrinsic_dim=4, seed=1)
-    benchmark(lambda: PCA(n_components=4, backend="golub_reinsch").fit(data))
+    benchmark(lambda: PCA(n_components=4, engine="golub_reinsch").fit(data))
 
 
 def test_lsi_build_and_search(benchmark):

@@ -38,7 +38,7 @@ QUERIES = [
 
 
 def main() -> None:
-    index = LsiIndex(rank=5, max_sweeps=12).fit(CORPUS)
+    index = LsiIndex(rank=5, engine_opts={"max_sweeps": 12}).fit(CORPUS)
     print(f"indexed {len(CORPUS)} documents, "
           f"{len(index.tdm.vocabulary)} terms, latent rank {index.rank}")
     print(f"energy captured by the latent space: {index.explained_energy():.1%}\n")

@@ -1,10 +1,6 @@
 """The unified low-rank estimator protocol.
 
-Historically every rank-k surface in the repository grew its own
-interface: ``truncated_svd(..., method=, max_sweeps=)``,
-``PCA(backend=, max_sweeps=)``, ``IncrementalSVD(rank, max_sweeps=)``,
-``LsiIndex(rank, max_sweeps=)`` and ``lanczos_svd`` with none at all.
-This module replaces those ad-hoc knobs with one vocabulary, resolved
+Every rank-k surface in the repository shares one vocabulary, resolved
 through :mod:`repro.core.registry` exactly like the serving layer:
 
 * ``rank`` — the retained rank k (``n_components`` in PCA clothing);
@@ -23,14 +19,12 @@ streaming pipeline (:mod:`repro.stream`) share it so swapping the
 inner kernel — including ``precision="mixed"`` — never needs a
 special case.  :class:`LowRankSVD` is the estimator protocol
 (``fit`` / ``partial_fit`` / ``transform`` / ``query``) the app-layer
-classes implement; :func:`warn_deprecated_kwarg` is the shared
-deprecation shim mirroring the ``block_rounds`` precedent.
+classes implement.
 """
 
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import Callable
 
 from repro.core.registry import engine_names, resolve_engine
@@ -43,7 +37,6 @@ __all__ = [
     "LowRankSVD",
     "make_solver",
     "split_engine_opts",
-    "warn_deprecated_kwarg",
     "low_rank_engine_names",
 ]
 
@@ -147,16 +140,6 @@ def make_solver(
 
     solve.engine = engine  # type: ignore[attr-defined]
     return solve
-
-
-def warn_deprecated_kwarg(owner: str, old: str, new: str) -> None:
-    """Emit the repository-standard deprecation warning for a renamed
-    keyword (mirrors the PR 4 ``block_rounds`` shim wording)."""
-    warnings.warn(
-        f"{owner}({old}=...) is deprecated; pass {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class LowRankSVD(abc.ABC):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import LowRankSVD, warn_deprecated_kwarg
+from repro.apps.base import LowRankSVD
 from repro.util.validation import as_float_matrix
 
 __all__ = ["IncrementalSVD"]
@@ -40,8 +40,6 @@ class IncrementalSVD(LowRankSVD):
     engine_opts : mapping, optional
         Uniform solver options (``max_sweeps`` — default 12 — ``tol``,
         ``precision``, ...) plus engine-specific knobs.
-    max_sweeps : int, optional
-        Deprecated alias for ``engine_opts={"max_sweeps": ...}``.
 
     Attributes (after the first :meth:`partial_fit`)
     ------------------------------------------------
@@ -67,14 +65,8 @@ class IncrementalSVD(LowRankSVD):
         *,
         engine: str = "blocked",
         engine_opts=None,
-        max_sweeps: int | None = None,
     ) -> None:
         opts = dict(engine_opts) if engine_opts else {}
-        if max_sweeps is not None:
-            warn_deprecated_kwarg(
-                "IncrementalSVD", "max_sweeps", "engine_opts={'max_sweeps': ...}"
-            )
-            opts.setdefault("max_sweeps", max_sweeps)
         if engine != "golub_reinsch":
             opts.setdefault("max_sweeps", 12)
         super().__init__(rank, engine=engine, engine_opts=opts)

@@ -7,8 +7,7 @@ Hestenes-Jacobi SVD: tokenization, vocabulary, a tf-idf term-document
 matrix, truncated SVD into a latent space, folding-in of queries, and
 cosine-similarity retrieval.  :class:`LsiIndex` implements the
 :class:`repro.apps.base.LowRankSVD` protocol (uniform ``engine`` /
-``engine_opts``; the historical ``max_sweeps=`` keyword is a
-warning-level deprecation shim), and :meth:`LsiIndex.add_documents`
+``engine_opts``), and :meth:`LsiIndex.add_documents`
 routes new documents through the streaming merge-and-truncate core
 (:class:`repro.stream.merge.StreamingMerger`) — the latent space
 *rotates* to absorb them, unlike classic folding-in which froze it.
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.base import LowRankSVD, warn_deprecated_kwarg
+from repro.apps.base import LowRankSVD
 from repro.util.validation import check_positive_int
 
 __all__ = ["tokenize", "TermDocumentMatrix", "LsiIndex"]
@@ -134,8 +133,6 @@ class LsiIndex(LowRankSVD):
     engine_opts : mapping, optional
         Uniform solver options (``max_sweeps`` — default 12 — ``tol``,
         ``precision``, ...) plus engine-specific knobs.
-    max_sweeps : int, optional
-        Deprecated alias for ``engine_opts={"max_sweeps": ...}``.
 
     Examples
     --------
@@ -157,14 +154,8 @@ class LsiIndex(LowRankSVD):
         *,
         engine: str = "blocked",
         engine_opts=None,
-        max_sweeps: int | None = None,
     ) -> None:
         opts = dict(engine_opts) if engine_opts else {}
-        if max_sweeps is not None:
-            warn_deprecated_kwarg(
-                "LsiIndex", "max_sweeps", "engine_opts={'max_sweeps': ...}"
-            )
-            opts.setdefault("max_sweeps", max_sweeps)
         if engine != "golub_reinsch":
             opts.setdefault("max_sweeps", 12)
         super().__init__(rank, engine=engine, engine_opts=opts)

@@ -8,15 +8,14 @@ indexing" (Section VII).  This module supplies the PCA layer on the
 unified :class:`repro.apps.base.LowRankSVD` protocol: the SVD engine
 is selectable among every registered Hestenes implementation and the
 Golub-Reinsch baseline via the uniform ``engine`` / ``engine_opts``
-vocabulary (the historical ``backend=`` / ``max_sweeps=`` keywords
-remain as warning-level deprecation shims).
+vocabulary.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import LowRankSVD, warn_deprecated_kwarg
+from repro.apps.base import LowRankSVD
 from repro.util.validation import as_float_matrix
 
 __all__ = ["PCA"]
@@ -45,9 +44,6 @@ class PCA(LowRankSVD):
         (divide by ``s / sqrt(n_samples - 1)``); inverse_transform
         undoes the scaling.  Components with zero singular value map
         to zero scores rather than dividing by zero.
-    backend, max_sweeps
-        Deprecated aliases for ``engine`` and
-        ``engine_opts={"max_sweeps": ...}``; emit ``DeprecationWarning``.
 
     Attributes (after :meth:`fit`)
     ------------------------------
@@ -79,16 +75,8 @@ class PCA(LowRankSVD):
         engine_opts=None,
         center: bool = True,
         whiten: bool = False,
-        backend: str | None = None,
-        max_sweeps: int | None = None,
     ) -> None:
         opts = dict(engine_opts) if engine_opts else {}
-        if backend is not None:
-            warn_deprecated_kwarg("PCA", "backend", "engine=...")
-            engine = backend
-        if max_sweeps is not None:
-            warn_deprecated_kwarg("PCA", "max_sweeps", "engine_opts={'max_sweeps': ...}")
-            opts.setdefault("max_sweeps", max_sweeps)
         if engine != "golub_reinsch":
             opts.setdefault("max_sweeps", 10)
         super().__init__(n_components, engine=engine, engine_opts=opts)
@@ -99,11 +87,6 @@ class PCA(LowRankSVD):
     def n_components(self) -> int | None:
         """Alias of :attr:`rank` in PCA vocabulary."""
         return self.rank
-
-    @property
-    def backend(self) -> str:
-        """Deprecated alias of :attr:`engine` (read-only)."""
-        return self.engine
 
     # -- fitting ------------------------------------------------------------
 

@@ -16,17 +16,16 @@ PCA/LSI keep a handful of components.  Two routes are provided:
 Both take the unified low-rank vocabulary of :mod:`repro.apps.base`:
 ``engine`` (any registry name, or ``"golub_reinsch"``) and
 ``engine_opts`` (uniform solver options like ``max_sweeps`` plus
-engine-specific knobs, ``precision`` included).  The historical
-``method=`` / ``max_sweeps=`` keywords remain as warning-level
-deprecation shims.  For inputs too large for memory, the same
-algorithms run out of core in :mod:`repro.stream.drivers`.
+engine-specific knobs, ``precision`` included).  For inputs too large
+for memory, the same algorithms run out of core in
+:mod:`repro.stream.drivers`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import make_solver, warn_deprecated_kwarg
+from repro.apps.base import make_solver
 from repro.core.result import SVDResult
 from repro.util.rng import default_rng
 from repro.util.validation import as_float_matrix, check_nonnegative_int, check_positive_int
@@ -34,19 +33,9 @@ from repro.util.validation import as_float_matrix, check_nonnegative_int, check_
 __all__ = ["truncated_svd", "randomized_svd"]
 
 
-def _resolve(name: str, engine: str, engine_opts, method, max_sweeps,
-             default_sweeps: int):
-    """Fold the deprecated ``method``/``max_sweeps`` keywords into the
-    unified ``(engine, engine_opts)`` pair and build the solver."""
-    opts = dict(engine_opts) if engine_opts else {}
-    if method is not None:
-        warn_deprecated_kwarg(name, "method", "engine=...")
-        engine = method
-    if max_sweeps is not None:
-        warn_deprecated_kwarg(name, "max_sweeps", "engine_opts={'max_sweeps': ...}")
-        opts.setdefault("max_sweeps", max_sweeps)
-    opts.setdefault("max_sweeps", default_sweeps)
-    return make_solver(engine, opts)
+def _resolve(engine: str, engine_opts):
+    """Build the inner solver; ``max_sweeps`` defaults to 10."""
+    return make_solver(engine, {"max_sweeps": 10, **(engine_opts or {})})
 
 
 def truncated_svd(
@@ -55,19 +44,13 @@ def truncated_svd(
     *,
     engine: str = "blocked",
     engine_opts=None,
-    method: str | None = None,
-    max_sweeps: int | None = None,
 ) -> SVDResult:
-    """Exact rank-k truncation: decompose fully, keep the top k triples.
-
-    ``method=`` and ``max_sweeps=`` are deprecated aliases for
-    ``engine=`` and ``engine_opts={"max_sweeps": ...}``.
-    """
+    """Exact rank-k truncation: decompose fully, keep the top k triples."""
     a = as_float_matrix(a, name="a")
     k = check_positive_int(k, name="k")
     if k > min(a.shape):
         raise ValueError(f"k={k} exceeds min(m, n)={min(a.shape)}")
-    solve = _resolve("truncated_svd", engine, engine_opts, method, max_sweeps, 10)
+    solve = _resolve(engine, engine_opts)
     res = solve(a)
     return SVDResult(
         s=res.s[:k].copy(),
@@ -91,8 +74,6 @@ def randomized_svd(
     seed=None,
     engine: str = "blocked",
     engine_opts=None,
-    method: str | None = None,
-    max_sweeps: int | None = None,
 ) -> SVDResult:
     """Approximate rank-k SVD via the randomized range finder.
 
@@ -115,9 +96,6 @@ def randomized_svd(
         :func:`repro.apps.base.make_solver` (registry engines plus
         ``"golub_reinsch"``; ``engine_opts`` carries ``max_sweeps``,
         ``precision``, ...).
-    method, max_sweeps
-        Deprecated aliases for ``engine`` and
-        ``engine_opts={"max_sweeps": ...}``; emit ``DeprecationWarning``.
 
     Returns
     -------
@@ -138,7 +116,7 @@ def randomized_svd(
     m, n = a.shape
     if k > min(m, n):
         raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
-    solve = _resolve("randomized_svd", engine, engine_opts, method, max_sweeps, 10)
+    solve = _resolve(engine, engine_opts)
     sketch = min(k + oversample, min(m, n))
     rng = default_rng(seed)
 

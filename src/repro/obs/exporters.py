@@ -10,7 +10,7 @@ Three output formats, all dependency-free:
 * :func:`render_span_tree` — an indented text rendering of the span
   forest for terminals and test output.
 * :func:`metrics_to_prometheus` — Prometheus text exposition of a
-  :class:`repro.serve.metrics.MetricsRegistry` (counters, gauges, and
+  :class:`repro.obs.metrics.MetricsRegistry` (counters, gauges, and
   standard cumulative-bucket histograms with ``_sum``/``_count``).
 """
 

@@ -22,7 +22,7 @@ Quickstart
 """
 
 from repro.serve.cache import CacheStats, ResultCache, result_nbytes
-from repro.serve.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.queue import QueueClosed, QueueFull, RequestQueue
 from repro.serve.request import (
     ENGINES,

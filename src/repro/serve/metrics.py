@@ -1,19 +1,24 @@
-"""Serving metrics — compatibility shim over :mod:`repro.obs.metrics`.
+"""Deprecated alias of :mod:`repro.obs.metrics`; import from there.
 
 The serving layer's counters/gauges/histograms were promoted to the
 process-wide observability package (labels, a default global registry,
-Prometheus exposition); this module re-exports the same names so
-existing imports — ``from repro.serve.metrics import MetricsRegistry``
-— keep working unchanged.  New code should import from
-:mod:`repro.obs.metrics` directly.
-
-The behavioural contract is identical: unlabeled instruments, the
-nested ``snapshot()`` dict shape, the fixed-width ``render_text()``
-report, and reservoir-backed interpolated quantiles.
+Prometheus exposition).  This module re-exports the same objects so
+``from repro.serve.metrics import MetricsRegistry`` keeps working for
+one deprecation cycle; importing it emits a ``DeprecationWarning``.
+Nothing in the repository imports it any more.
 """
 
 from __future__ import annotations
 
+import warnings
+
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+
+warnings.warn(
+    "repro.serve.metrics is deprecated; import Counter, Gauge, Histogram "
+    "and MetricsRegistry from repro.obs.metrics instead",
+    DeprecationWarning,
+    stacklevel=2,
+)

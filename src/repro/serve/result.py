@@ -79,6 +79,17 @@ class SVDResponse:
     shard: int | None = None
     cpu_s: float = 0.0
 
+    @classmethod
+    def for_request(cls, request, status: str, **fields) -> "SVDResponse":
+        """The response to *request*, carrying its id and trace id.
+
+        ``engine`` defaults to the requested engine; pass the engine
+        that actually ran when it differs.
+        """
+        fields.setdefault("engine", request.engine)
+        return cls(request_id=request.request_id, status=status,
+                   trace_id=request.trace_id, **fields)
+
     @property
     def ok(self) -> bool:
         """Whether the request completed with a result."""

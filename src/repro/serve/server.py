@@ -28,7 +28,6 @@ Example
 from __future__ import annotations
 
 import contextlib
-import itertools
 import threading
 import time
 
@@ -38,12 +37,9 @@ from repro.obs.events import emit
 from repro.obs.metrics import get_registry
 from repro.obs.prof import record_request_cpu
 from repro.obs.recorder import trigger_dump
-from repro.obs.slo import observe as slo_observe
-from repro.serve.cache import ResultCache
-from repro.serve.handle import ResponseHandle, ServerClosed
-from repro.serve.metrics import MetricsRegistry
-from repro.serve.queue import POLICIES, RequestQueue
-from repro.serve.request import ServeError, SVDRequest, make_request
+from repro.serve.handle import FrontDoor, ResponseHandle, ServerClosed
+from repro.serve.queue import RequestQueue
+from repro.serve.request import SVDRequest
 from repro.serve.result import SVDResponse
 from repro.serve.retry import EngineExecutor
 from repro.serve.scheduler import Batch, BatchConfig, MicroBatcher
@@ -51,20 +47,12 @@ from repro.serve.scheduler import Batch, BatchConfig, MicroBatcher
 __all__ = ["ServerClosed", "ResponseHandle", "SVDServer"]
 
 
-def _note_done(req, status: str, **fields) -> None:
-    """One request's terminal event + SLO judgement (latency or bad)."""
-    emit("serve.request.done",
-         trace_id=req.trace_id or req.request_id,
-         request_id=req.request_id, engine=req.engine,
-         status=status, **fields)
-    if status == "ok":
-        slo_observe("serve.request", value=fields.get("latency_s", 0.0))
-    else:
-        slo_observe("serve.request", good=False)
-
-
-class SVDServer:
+class SVDServer(FrontDoor):
     """Long-lived micro-batching SVD service over the repo's solvers.
+
+    Submission, the result cache and outcome recording are the shared
+    :class:`~repro.serve.handle.FrontDoor`; this tier admits requests
+    onto its bounded queue and runs them in micro-batches.
 
     Parameters
     ----------
@@ -107,25 +95,16 @@ class SVDServer:
         tracer=None,
         **default_options,
     ) -> None:
+        super().__init__(cache_bytes=cache_bytes,
+                         default_engine=default_engine,
+                         default_options=default_options,
+                         clock=clock, tracer=tracer)
         self.config = BatchConfig(max_batch=max_batch, max_wait_s=max_wait_s,
                                   workers=workers)
         self.queue = RequestQueue(maxsize=queue_size, policy=backpressure)
-        self.cache = ResultCache(cache_bytes) if cache_bytes else None
-        self.metrics = MetricsRegistry()
-        self.default_engine = default_engine
-        self.default_options = default_options
-        self._clock = clock
-        self._ids = itertools.count()
         self._batcher = MicroBatcher(self.config)
         self._executor = EngineExecutor(workers=workers)
-        self.tracer = tracer
-        # Submit-time tracer timestamps, for the retroactive
-        # serve.request / serve.queue_wait spans built at dispatch.
-        self._trace_starts: dict[str, float] = {}
-        self._pending: dict[str, ResponseHandle] = {}
-        self._pending_lock = threading.Lock()
         self._thread: threading.Thread | None = None
-        self._closed = False
         # Expose this server's registry in the process-wide snapshot
         # (prefixed "serve.<key>") for `repro stats` / Prometheus.
         self._collector_name = get_registry().register_collector(
@@ -156,142 +135,10 @@ class SVDServer:
             self._thread.join(timeout=60.0)
             self._thread = None
 
-    def __enter__(self) -> "SVDServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ---- submission -----------------------------------------------------
-
-    def submit(self, matrix, *, engine: str | None = None,
-               timeout: float | None = None, trace_id: str | None = None,
-               **options) -> ResponseHandle:
-        """Submit one decomposition; returns a :class:`ResponseHandle`.
-
-        Cache hits complete synchronously (the handle is already done);
-        misses are enqueued for micro-batched dispatch.  *timeout* sets
-        the request deadline; expired requests resolve with status
-        ``"timeout"``.  *trace_id* lets an upstream tier (the shard
-        worker serving a routed request) thread its own correlation id
-        through this server's spans and events instead of the local
-        request id.
-        """
-        if self._closed:
-            raise ServerClosed("server is closed")
-        now = self._clock()
-        request_id = f"req-{next(self._ids)}"
-        trace_start = self.tracer.now() if self.tracer is not None else None
-        merged = {**self.default_options, **options}
-        if trace_id is None and self.tracer is not None:
-            trace_id = request_id
-        request = make_request(
-            matrix, request_id=request_id,
-            engine=engine or self.default_engine,
-            now=now, timeout=timeout, trace_id=trace_id, **merged,
-        )
-        emit("serve.request.submitted",
-             trace_id=request.trace_id or request.request_id,
-             request_id=request.request_id, engine=request.engine,
-             task=request.task)
-        self.metrics.counter(f"task_{request.task}_requests").inc()
-        handle = ResponseHandle(request.request_id)
-        if self.cache is not None:
-            cached = self.cache.get(request.cache_key)
-            if cached is not None:
-                self.metrics.counter("cache_hits").inc()
-                slo_observe("serve.admission", good=True)
-                _note_done(request, "ok", cache_hit=True,
-                           latency_s=self._clock() - now)
-                if self.tracer is not None:
-                    self.tracer.add_span(
-                        "serve.request", start=trace_start,
-                        end=self.tracer.now(), trace_id=request.trace_id,
-                        request_id=request.request_id, engine=request.engine,
-                        status="ok", cache_hit=True,
-                    )
-                handle._fulfil(SVDResponse(
-                    request_id=request.request_id, status="ok", result=cached,
-                    engine=request.engine, cache_hit=True,
-                    total_s=self._clock() - now, trace_id=request.trace_id,
-                ))
-                self.metrics.counter("requests_completed").inc()
-                return handle
-            self.metrics.counter("cache_misses").inc()
-        with self._pending_lock:
-            self._pending[request.request_id] = handle
-            if trace_start is not None:
-                self._trace_starts[request.request_id] = trace_start
-        try:
-            self.queue.put(request)
-        except ServeError as exc:
-            with self._pending_lock:
-                self._pending.pop(request.request_id, None)
-                self._trace_starts.pop(request.request_id, None)
-            self.metrics.counter("requests_rejected").inc()
-            emit("serve.request.rejected",
-                 trace_id=request.trace_id or request.request_id,
-                 request_id=request.request_id, engine=request.engine,
-                 error=str(exc))
-            slo_observe("serve.admission", good=False)
-            if self.tracer is not None:
-                self.tracer.add_span(
-                    "serve.request", start=trace_start, end=self.tracer.now(),
-                    trace_id=request.trace_id, request_id=request.request_id,
-                    engine=request.engine, status="rejected",
-                )
-            handle._fulfil(SVDResponse(
-                request_id=request.request_id, status="rejected",
-                error=str(exc), engine=request.engine,
-                trace_id=request.trace_id,
-            ))
-            exc.handle = handle
-            raise
-        self.metrics.counter("requests_submitted").inc()
+    def _admit(self, request: SVDRequest, handle: ResponseHandle,
+               trace_start: float | None) -> None:
+        self.queue.put(request)
         self.metrics.gauge("queue_depth").set(len(self.queue))
-        slo_observe("serve.admission", good=True)
-        return handle
-
-    def submit_many(self, matrices, *, on_error: str = "raise",
-                    **kwargs) -> list[ResponseHandle]:
-        """Submit a sequence of matrices; returns handles in input order.
-
-        ``on_error="continue"`` keeps submitting past rejections: the
-        failed positions still receive handles (already fulfilled with
-        status ``"rejected"``), so a partial failure never scrambles
-        the input/handle correspondence.
-        """
-        if on_error not in ("raise", "continue"):
-            raise ValueError(f"on_error must be 'raise' or 'continue', "
-                             f"got {on_error!r}")
-        handles: list[ResponseHandle] = []
-        for a in matrices:
-            try:
-                handles.append(self.submit(a, **kwargs))
-            except ServeError as exc:
-                if on_error == "raise":
-                    raise
-                handle = getattr(exc, "handle", None)
-                if handle is None:  # e.g. ServerClosed: no handle was made
-                    handle = ResponseHandle(f"req-rejected-{next(self._ids)}")
-                    handle._fulfil(SVDResponse(
-                        request_id=handle.request_id, status="rejected",
-                        error=str(exc), engine=self.default_engine,
-                    ))
-                handles.append(handle)
-        return handles
-
-    def result(self, handle: ResponseHandle | str,
-               timeout: float | None = None) -> SVDResponse:
-        """Wait for a response, by handle or by request id."""
-        if isinstance(handle, str):
-            with self._pending_lock:
-                found = self._pending.get(handle)
-            if found is None:
-                raise KeyError(f"unknown or already-collected request {handle!r}")
-            handle = found
-        return handle.result(timeout)
 
     # ---- observability --------------------------------------------------
 
@@ -337,39 +184,27 @@ class SVDServer:
                     self._run_batch(batch)
                 return
 
-    def _pop_trace_start(self, request_id: str) -> float | None:
-        with self._pending_lock:
-            return self._trace_starts.pop(request_id, None)
-
     def _run_batch(self, batch: Batch) -> None:
         now = self._clock()
         tracer = self.tracer
         live: list[SVDRequest] = []
         for req in batch.requests:
-            if req.expired(now):
-                self.metrics.counter("requests_timeout").inc()
-                if tracer is not None:
-                    t_end = tracer.now()
-                    t0 = self._pop_trace_start(req.request_id)
-                    root = tracer.add_span(
-                        "serve.request", start=t0 if t0 is not None else t_end,
-                        end=t_end, trace_id=req.trace_id,
-                        request_id=req.request_id, engine=req.engine,
-                        status="timeout",
-                    )
-                    tracer.add_span(
-                        "serve.queue_wait", start=root.start, end=t_end,
-                        parent=root, trace_id=req.trace_id, expired=True,
-                    )
-                _note_done(req, "timeout")
-                self._respond(req, SVDResponse(
-                    request_id=req.request_id, status="timeout",
-                    error=f"deadline passed before dispatch "
-                          f"(waited {now - req.submitted_at:.4f}s)",
-                    engine=req.engine, queued_s=now - req.submitted_at,
-                    total_s=now - req.submitted_at, trace_id=req.trace_id))
-            else:
+            if not req.expired(now):
                 live.append(req)
+                continue
+            root = None
+            if tracer is not None:
+                root = self._open_root(req)
+                tracer.add_span(
+                    "serve.queue_wait", start=root.start, end=tracer.now(),
+                    parent=root, trace_id=req.trace_id, expired=True,
+                )
+            self._finish(req, SVDResponse.for_request(
+                req, "timeout",
+                error=f"deadline passed before dispatch "
+                      f"(waited {now - req.submitted_at:.4f}s)",
+                queued_s=now - req.submitted_at,
+                total_s=now - req.submitted_at), root)
         if not live:
             return
         self.metrics.counter("batches_dispatched").inc()
@@ -387,12 +222,7 @@ class SVDServer:
             # so they are managed manually rather than via contextvars.
             t_dispatch = tracer.now()
             for req in live:
-                t0 = self._pop_trace_start(req.request_id)
-                root = tracer.start_span(
-                    "serve.request", trace_id=req.trace_id,
-                    start=t0 if t0 is not None else t_dispatch,
-                    request_id=req.request_id, engine=req.engine,
-                )
+                root = self._open_root(req)
                 tracer.add_span(
                     "serve.queue_wait", start=root.start, end=t_dispatch,
                     parent=root, trace_id=req.trace_id,
@@ -434,22 +264,17 @@ class SVDServer:
             finished = self._clock()
             if tracer is not None:
                 batch_span.set_attrs(error=type(exc).__name__).end()
-                for req in live:
-                    roots[req.request_id].set_attrs(status="error").end()
             emit("serve.batch.error",
                  trace_id=live[0].trace_id or live[0].request_id,
                  batch_size=len(live), engine=live[0].engine,
                  error=type(exc).__name__, detail=str(exc))
             for req in live:
-                self.metrics.counter("requests_failed").inc()
-                _note_done(req, "error")
-                self._respond(req, SVDResponse(
-                    request_id=req.request_id, status="error", error=str(exc),
-                    engine=req.engine, batch_size=len(live),
+                self._finish(req, SVDResponse.for_request(
+                    req, "error", error=str(exc), batch_size=len(live),
                     queued_s=started - req.submitted_at,
                     service_s=finished - started,
-                    total_s=finished - req.submitted_at,
-                    trace_id=req.trace_id))
+                    total_s=finished - req.submitted_at),
+                    roots.get(req.request_id))
             trigger_dump(
                 "serve.batch.error", error=type(exc).__name__,
                 detail=str(exc), engine=live[0].engine,
@@ -467,33 +292,15 @@ class SVDServer:
                 engine_span.set_attr("degraded", True)
             batch_span.set_attrs(engine_used=engine_used).end()
         for req, res in zip(live, results):
-            if self.cache is not None:
-                self.cache.put(req.cache_key, res)
-            self.metrics.counter("requests_completed").inc()
             self.metrics.histogram("latency_s").observe(
                 finished - req.submitted_at)
             record_request_cpu(
                 engine=engine_used, shape=req.matrix.shape,
                 precision=precision, cpu_s=cpu_per_req,
                 wall_s=wall_per_req)
-            _note_done(req, "ok", engine_used=engine_used,
-                       batch_size=len(live),
-                       latency_s=finished - req.submitted_at)
-            if tracer is not None:
-                roots[req.request_id].set_attrs(
-                    status="ok", batch_size=len(live),
-                    engine_used=engine_used,
-                ).end()
-            self._respond(req, SVDResponse(
-                request_id=req.request_id, status="ok", result=res,
-                engine=engine_used, batch_size=len(live),
-                queued_s=started - req.submitted_at,
+            self._finish(req, SVDResponse.for_request(
+                req, "ok", result=res, engine=engine_used,
+                batch_size=len(live), queued_s=started - req.submitted_at,
                 service_s=finished - started,
-                total_s=finished - req.submitted_at,
-                trace_id=req.trace_id, cpu_s=cpu_per_req))
-
-    def _respond(self, request: SVDRequest, response: SVDResponse) -> None:
-        with self._pending_lock:
-            handle = self._pending.pop(request.request_id, None)
-        if handle is not None:
-            handle._fulfil(response)
+                total_s=finished - req.submitted_at, cpu_s=cpu_per_req),
+                roots.get(req.request_id))

@@ -1,12 +1,13 @@
 """Front-ends over the shard tier: blocking façade and asyncio wrapper.
 
-:class:`ShardedSVDServer` mirrors the single-process
-:class:`repro.serve.server.SVDServer` API (``submit`` / ``submit_many``
-/ ``result`` / ``stats`` / ``close``) but dispatches through a
+:class:`ShardedSVDServer` shares the single-process
+:class:`repro.serve.server.SVDServer`'s front door
+(:class:`repro.serve.handle.FrontDoor`: ``submit`` / ``submit_many`` /
+``result``, the front cache, outcome recording) but admits through a
 :class:`repro.serve.shard.router.ShardRouter` to an array of worker
 processes, so numpy-bound decompositions use every core instead of
-sharing one GIL.  A front-side :class:`repro.serve.cache.ResultCache`
-answers repeats without crossing the process boundary at all.
+sharing one GIL.  Front-cache hits answer repeats without crossing the
+process boundary at all.
 
 :class:`AsyncSVDServer` exposes the same service to ``asyncio`` code:
 ``submit`` returns an :class:`asyncio.Future` resolved on the event
@@ -20,16 +21,11 @@ with the already-fulfilled rejected handle attached as ``exc.handle``.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import os
-import threading
 import time
 
-from repro.obs.slo import observe as slo_observe
-from repro.serve.cache import ResultCache
-from repro.serve.request import ServeError, make_request
+from repro.serve.handle import FrontDoor
 from repro.serve.result import SVDResponse
-from repro.serve.server import ResponseHandle, ServerClosed
 from repro.serve.shard.router import ShardRouter
 
 __all__ = ["ShardedSVDServer", "AsyncSVDServer", "default_shards"]
@@ -40,8 +36,12 @@ def default_shards() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-class ShardedSVDServer:
+class ShardedSVDServer(FrontDoor):
     """Multi-process SVD service with the single-process server's API.
+
+    Submission, the front cache and outcome recording are the shared
+    :class:`~repro.serve.handle.FrontDoor`; this tier admits requests
+    through its :class:`~repro.serve.shard.router.ShardRouter`.
 
     Parameters
     ----------
@@ -74,6 +74,14 @@ class ShardedSVDServer:
         Solver options applied to every request unless overridden.
     """
 
+    # LSI indexes are hosted in-process; shard workers are separate
+    # processes and hold none.  topk_svd shards fine.
+    unsupported_tasks = {
+        "lsi_query": "indexes live in the serving process, not in shard "
+                     "workers; use a single-process SVDServer, or "
+                     "task='topk_svd' for sharded truncation",
+    }
+
     def __init__(
         self,
         shards: int | None = None,
@@ -97,17 +105,12 @@ class ShardedSVDServer:
         respawn: bool = True,
         **default_options,
     ) -> None:
-        self.default_engine = default_engine
-        self.default_options = default_options
-        self.cache = ResultCache(cache_bytes) if cache_bytes else None
-        self.tracer = tracer
+        super().__init__(cache_bytes=cache_bytes,
+                         default_engine=default_engine,
+                         default_options=default_options,
+                         clock=clock, tracer=tracer)
         if tracer is not None and trace_detail is None:
             trace_detail = "sweep"  # workers must trace for stitching
-        self._clock = clock
-        self._ids = itertools.count()
-        self._pending: dict[str, ResponseHandle] = {}
-        self._pending_lock = threading.Lock()
-        self._closed = False
         self.router = ShardRouter(
             shards if shards is not None else default_shards(),
             max_inflight=max_inflight,
@@ -123,7 +126,7 @@ class ShardedSVDServer:
                 "default_options": dict(default_options),
                 "trace_detail": trace_detail,
             },
-            on_response=self._complete,
+            on_response=self._on_shard_response,
             start_method=start_method,
             clock=clock,
             tracer=tracer,
@@ -132,8 +135,6 @@ class ShardedSVDServer:
             respawn=respawn,
         )
 
-    # ---- lifecycle ------------------------------------------------------
-
     def close(self) -> None:
         """Stop the workers and release every shared-memory segment."""
         if self._closed:
@@ -141,130 +142,21 @@ class ShardedSVDServer:
         self._closed = True
         self.router.close()
 
-    def __enter__(self) -> "ShardedSVDServer":
-        return self
+    def _admit(self, request, handle, trace_start) -> None:
+        self.router.submit(request, handle, trace_start=trace_start)
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def _on_shard_response(self, request, response: SVDResponse) -> None:
+        """Router hook: record a shard-tier outcome on the parent.
 
-    # ---- submission -----------------------------------------------------
-
-    def submit(self, matrix, *, engine: str | None = None,
-               timeout: float | None = None, **options) -> ResponseHandle:
-        """Submit one decomposition to the shard tier.
-
-        Front-cache hits complete synchronously.  When every shard is
-        at its admission limit the request is **rejected**: the handle
-        is fulfilled with status ``"rejected"``, attached to the raised
-        :class:`~repro.serve.shard.router.ShardSaturated` as
-        ``exc.handle``, and the exception propagates (429 semantics —
-        the caller decides whether to retry).
+        A worker-served response arrives with the worker's own terminal
+        event already replayed into the parent log under the same trace
+        id, and its spans stitched under ``serve.shard.request``; only
+        the in-process fallback (``response.shard is None``) still needs
+        announcing.  Latency is judged on the parent's clock
+        (``response.total_s``): the worker's SLO engine dies with its
+        process.
         """
-        if self._closed:
-            raise ServerClosed("sharded server is closed")
-        if options.get("task") == "lsi_query":
-            # LSI indexes are hosted in-process; shard workers are
-            # separate processes and hold none.  topk_svd shards fine.
-            raise ValueError(
-                "task='lsi_query' is not available on the shard tier "
-                "(indexes live in the serving process); use a single-"
-                "process SVDServer, or task='topk_svd' for sharded "
-                "truncation"
-            )
-        now = self._clock()
-        request_id = f"req-{next(self._ids)}"
-        trace_start = self.tracer.now() if self.tracer is not None else None
-        merged = {**self.default_options, **options}
-        request = make_request(
-            matrix,
-            request_id=request_id,
-            engine=engine or self.default_engine,
-            now=now,
-            timeout=timeout,
-            trace_id=request_id if self.tracer is not None else None,
-            **merged,
-        )
-        handle = ResponseHandle(request.request_id)
-        if self.cache is not None:
-            cached = self.cache.get(request.cache_key)
-            if cached is not None:
-                handle._fulfil(SVDResponse(
-                    request_id=request.request_id, status="ok", result=cached,
-                    engine=request.engine, cache_hit=True,
-                    total_s=self._clock() - now, trace_id=request.trace_id,
-                ))
-                slo_observe("serve.admission", good=True)
-                slo_observe("serve.request", value=self._clock() - now)
-                return handle
-        with self._pending_lock:
-            self._pending[request.request_id] = handle
-        try:
-            self.router.submit(request, handle, trace_start=trace_start)
-        except ServeError as exc:
-            with self._pending_lock:
-                self._pending.pop(request.request_id, None)
-            slo_observe("serve.admission", good=False)
-            handle._fulfil(SVDResponse(
-                request_id=request.request_id, status="rejected",
-                error=str(exc), engine=request.engine,
-                trace_id=request.trace_id,
-            ))
-            exc.handle = handle
-            raise
-        slo_observe("serve.admission", good=True)
-        return handle
-
-    def submit_many(self, matrices, *, on_error: str = "raise",
-                    **kwargs) -> list[ResponseHandle]:
-        """Submit a sequence; returns handles in input order.
-
-        ``on_error="continue"`` keeps going past rejections — the
-        rejected positions still get (already fulfilled) handles, so
-        ordering is preserved for partial failures.
-        """
-        if on_error not in ("raise", "continue"):
-            raise ValueError(f"on_error must be 'raise' or 'continue', "
-                             f"got {on_error!r}")
-        handles: list[ResponseHandle] = []
-        for matrix in matrices:
-            try:
-                handles.append(self.submit(matrix, **kwargs))
-            except ServeError as exc:
-                if on_error == "raise":
-                    raise
-                handles.append(_rejected_handle(exc, self._ids))
-        return handles
-
-    def result(self, handle: ResponseHandle | str,
-               timeout: float | None = None) -> SVDResponse:
-        """Wait for a response, by handle or by request id."""
-        if isinstance(handle, str):
-            with self._pending_lock:
-                found = self._pending.get(handle)
-            if found is None:
-                raise KeyError(f"unknown or already-collected request "
-                               f"{handle!r}")
-            handle = found
-        return handle.result(timeout)
-
-    def _complete(self, request, response: SVDResponse) -> None:
-        """Router hook: cache, untrack, and feed the parent-side SLO.
-
-        The worker's own SLO engine dies with its process, so request
-        latency must be judged here, on the parent's engine, from the
-        parent's clock (``response.total_s``).
-        """
-        # `is not None`: an empty ResultCache is falsy (len == 0).
-        if response.ok and response.result is not None and self.cache is not None:
-            self.cache.put(request.cache_key, response.result)
-        if response.ok:
-            slo_observe("serve.request", value=response.total_s)
-        else:
-            slo_observe("serve.request", good=False)
-        with self._pending_lock:
-            self._pending.pop(request.request_id, None)
-
-    # ---- observability --------------------------------------------------
+        self._finish(request, response, announce=response.shard is None)
 
     def stats(self) -> dict:
         """Topology + per-shard worker stats + front-cache accounting."""
@@ -274,17 +166,6 @@ class ShardedSVDServer:
         with self._pending_lock:
             snap["pending"] = len(self._pending)
         return snap
-
-
-def _rejected_handle(exc: ServeError, ids) -> ResponseHandle:
-    """The fulfilled handle for a rejected submit (synthesized if needed)."""
-    handle = getattr(exc, "handle", None)
-    if handle is not None:
-        return handle
-    handle = ResponseHandle(f"req-rejected-{next(ids)}")
-    handle._fulfil(SVDResponse(
-        request_id=handle.request_id, status="rejected", error=str(exc)))
-    return handle
 
 
 class AsyncSVDServer:

@@ -108,15 +108,14 @@ def build_response(shard: ShardState, record: Inflight, ticket, meta,
             precision=meta.get("precision", "fp64"),
             cpu_s=cpu_s,
         )
-    return SVDResponse(
-        request_id=request.request_id, status=status, result=result,
+    return SVDResponse.for_request(
+        request, status, result=result,
         error=meta.get("error"), engine=meta.get("engine", request.engine),
         cache_hit=bool(meta.get("cache_hit")),
         batch_size=int(meta.get("batch_size", 0)),
         queued_s=float(meta.get("queued_s", 0.0)),
         service_s=float(meta.get("service_s", 0.0)),
-        total_s=clock() - request.submitted_at,
-        trace_id=request.trace_id, shard=shard.id, cpu_s=cpu_s,
+        total_s=clock() - request.submitted_at, shard=shard.id, cpu_s=cpu_s,
     )
 
 

@@ -77,8 +77,9 @@ class ShardRouter:
         max_wait_s, workers, cache_bytes, default_engine,
         default_options, trace_detail).
     on_response : callable, optional
-        ``fn(request, response)`` invoked before the handle is
-        fulfilled (the front-end's cache/metrics hook).
+        ``fn(request, response)``: the front end's outcome recorder,
+        which fulfils the handle; without one (or when it fails) the
+        router fulfils it.
     start_method : str, optional
         ``"spawn"`` (default: robust with a threaded parent) or
         ``"fork"`` (faster start; POSIX only).
@@ -288,19 +289,12 @@ class ShardRouter:
                                    if request.deadline is not None else None),
                 policy=RetryPolicy(attempts=2, backoff_s=0.005),
             )
-            response = SVDResponse(
-                request_id=request.request_id, status="ok",
-                result=results[0], engine=engine_used,
-                total_s=self._clock() - request.submitted_at,
-                trace_id=request.trace_id,
-            )
+            outcome = {"status": "ok", "result": results[0],
+                       "engine": engine_used}
         except Exception as exc:
-            response = SVDResponse(
-                request_id=request.request_id, status="error", error=str(exc),
-                engine=request.engine,
-                total_s=self._clock() - request.submitted_at,
-                trace_id=request.trace_id,
-            )
+            outcome = {"status": "error", "error": str(exc)}
+        response = SVDResponse.for_request(
+            request, total_s=self._clock() - request.submitted_at, **outcome)
         self._deliver(record, response)
 
     # ---- submission -----------------------------------------------------
@@ -418,12 +412,9 @@ class ShardRouter:
         except Exception as exc:
             from repro.serve.result import SVDResponse
 
-            response = SVDResponse(
-                request_id=req_id, status="error",
-                error=f"shard response unpack failed: {exc}",
-                engine=record.request.engine, shard=shard.id,
-                trace_id=record.request.trace_id,
-            )
+            response = SVDResponse.for_request(
+                record.request, "error",
+                error=f"shard response unpack failed: {exc}", shard=shard.id)
         record.drop_segment()
         labels = shard.labels()
         self._m().counter(
@@ -442,7 +433,8 @@ class ShardRouter:
                 self.on_response(record.request, response)
             except Exception:
                 pass
-        record.handle._fulfil(response)
+        if not record.handle.done():  # no hook, or it failed to fulfil
+            record.handle._fulfil(response)
 
     # ---- observability / lifecycle --------------------------------------
 

@@ -55,24 +55,47 @@ def mean_abs_off_diagonal(d: np.ndarray) -> float:
     return float(np.mean(np.abs(d[iu])))
 
 
+def _pow2_exponent(x: np.ndarray) -> int:
+    """Exponent e with ``max|x| * 2**-e`` in [0.5, 1); 0 if none exists.
+
+    Scaling by an exact power of two changes no mantissa bit, so sums
+    of squares can be formed at unit scale — where they neither
+    underflow nor overflow — and scaled back exactly.  All-zero or
+    non-finite input keeps e = 0, so NaN/Inf still propagate.
+    """
+    peak = float(np.max(np.abs(x))) if x.size else 0.0
+    if peak == 0.0 or not math.isfinite(peak):
+        return 0
+    return math.frexp(peak)[1]
+
+
 def frobenius_off_diagonal(d: np.ndarray) -> float:
     """``off(D)``: Frobenius norm of the strict upper triangle of *d*.
 
     The classical Jacobi-convergence quantity; each rotation reduces
     ``off(D)^2`` for a symmetric matrix by the square of the annihilated
-    element (monotone convergence).
+    element (monotone convergence).  The squares are formed after an
+    exact power-of-two rescale, so the value is correct for Gram
+    entries anywhere in the float64 range.
     """
     d = np.asarray(d)
     n = d.shape[0]
     if n < 2:
         return 0.0
-    iu = np.triu_indices(n, k=1)
-    return float(np.sqrt(np.sum(d[iu] ** 2)))
+    off = d[np.triu_indices(n, k=1)]
+    e = _pow2_exponent(off)
+    off = np.ldexp(off, -e)
+    return math.ldexp(float(np.sqrt(np.sum(off ** 2))), e)
 
 
 def relative_off_diagonal(d: np.ndarray) -> float:
-    """``off(D)`` scaled by the Frobenius norm of *d* (unitless, in [0, 1])."""
+    """``off(D)`` scaled by the Frobenius norm of *d* (unitless, in [0, 1]).
+
+    Both norms are taken of *d* rescaled by one exact power of two, so
+    the ratio is the same at every input scale.
+    """
     d = np.asarray(d)
+    d = np.ldexp(d, -_pow2_exponent(d))
     denom = float(np.linalg.norm(d))
     if denom == 0.0:
         return 0.0

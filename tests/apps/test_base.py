@@ -137,54 +137,23 @@ class TestProtocolCompliance:
 
 
 class TestDeprecationShims:
-    """Old keyword spellings keep working, warn, and match the new
-    spelling bit-for-bit (the PR 4 ``block_rounds`` shim precedent)."""
+    """The removed PR 9 keyword spellings now fail loudly; the unified
+    spelling emits no warning."""
 
-    def test_truncated_svd_method_and_max_sweeps(self, rng):
-        a = random_matrix(rng, 14, 9)
-        with pytest.warns(DeprecationWarning, match="method"):
-            old = truncated_svd(a, 3, method="modified", max_sweeps=8)
-        new = truncated_svd(a, 3, engine="modified",
-                            engine_opts={"max_sweeps": 8})
-        assert np.array_equal(old.s, new.s)
-        assert np.array_equal(old.u, new.u)
-        assert np.array_equal(old.vt, new.vt)
-
-    def test_randomized_svd_shims(self, rng):
-        a = random_matrix(rng, 20, 12)
-        with pytest.warns(DeprecationWarning, match="max_sweeps"):
-            old = randomized_svd(a, 3, seed=1, max_sweeps=9)
-        new = randomized_svd(a, 3, seed=1, engine_opts={"max_sweeps": 9})
-        assert np.array_equal(old.s, new.s)
-        assert np.array_equal(old.u, new.u)
-
-    def test_pca_backend_and_max_sweeps(self, rng):
-        x = random_matrix(rng, 30, 5)
-        with pytest.warns(DeprecationWarning, match="backend"):
-            old = PCA(2, backend="modified", max_sweeps=8).fit(x)
-        new = PCA(2, engine="modified",
-                  engine_opts={"max_sweeps": 8}).fit(x)
-        assert np.array_equal(old.components_, new.components_)
-        assert np.array_equal(old.singular_values_, new.singular_values_)
-        assert old.backend == "modified"  # read-only alias survives
-
-    def test_incremental_max_sweeps(self, rng):
-        rows = random_matrix(rng, 24, 6)
-        with pytest.warns(DeprecationWarning, match="IncrementalSVD"):
-            old = IncrementalSVD(3, max_sweeps=9)
-        new = IncrementalSVD(3, engine_opts={"max_sweeps": 9})
-        for block in (rows[:10], rows[10:]):
-            old.partial_fit(block)
-            new.partial_fit(block)
-        assert np.array_equal(old.s_, new.s_)
-        assert np.array_equal(old.vt_, new.vt_)
-
-    def test_lsi_max_sweeps(self):
-        with pytest.warns(DeprecationWarning, match="LsiIndex"):
-            old = LsiIndex(rank=2, max_sweeps=9).fit(DOCS)
-        new = LsiIndex(rank=2, engine_opts={"max_sweeps": 9}).fit(DOCS)
-        assert np.array_equal(old.singular_values, new.singular_values)
-        assert np.array_equal(old.doc_embeddings, new.doc_embeddings)
+    @pytest.mark.parametrize("call", [
+        lambda a: truncated_svd(a, 3, method="modified"),
+        lambda a: truncated_svd(a, 3, max_sweeps=8),
+        lambda a: randomized_svd(a, 3, max_sweeps=9),
+        lambda a: PCA(2, backend="modified"),
+        lambda a: PCA(2, max_sweeps=8),
+        lambda a: IncrementalSVD(3, max_sweeps=9),
+        lambda a: LsiIndex(rank=2, max_sweeps=9),
+    ], ids=["truncated-method", "truncated-max_sweeps",
+            "randomized-max_sweeps", "pca-backend", "pca-max_sweeps",
+            "incremental-max_sweeps", "lsi-max_sweeps"])
+    def test_removed_keywords_raise_type_error(self, rng, call):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call(random_matrix(rng, 14, 9))
 
     def test_new_spelling_warns_nothing(self, rng):
         import warnings

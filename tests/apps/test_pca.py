@@ -41,7 +41,7 @@ class TestPcaFit:
     @pytest.mark.parametrize("backend", ["blocked", "modified", "reference", "golub_reinsch"])
     def test_backends_agree(self, rng, backend):
         x = rng.standard_normal((25, 6))
-        p = PCA(backend=backend, max_sweeps=14).fit(x)
+        p = PCA(engine=backend, engine_opts={"max_sweeps": 14}).fit(x)
         xc = x - x.mean(axis=0)
         s = np.linalg.svd(xc, compute_uv=False)
         assert np.allclose(p.singular_values_, s, atol=1e-8 * s[0])
@@ -58,7 +58,7 @@ class TestPcaFit:
         with pytest.raises(ValueError):
             PCA().fit(rng.standard_normal((1, 4)))
         with pytest.raises(ValueError):
-            PCA(backend="magic")
+            PCA(engine="magic")
         with pytest.raises(ValueError):
             PCA(n_components=0)
 
@@ -120,6 +120,6 @@ class TestWhitening:
 
     def test_preconditioned_backend(self, rng):
         x = rng.standard_normal((30, 6))
-        p = PCA(backend="preconditioned").fit(x)
+        p = PCA(engine="preconditioned").fit(x)
         xc = x - x.mean(axis=0)
         assert np.allclose(p.singular_values_, np.linalg.svd(xc, compute_uv=False))

@@ -11,7 +11,7 @@ from tests.conftest import random_matrix
 class TestTruncatedSvd:
     def test_matches_numpy_topk(self, rng):
         a = random_matrix(rng, 20, 12)
-        res = truncated_svd(a, 4, max_sweeps=12)
+        res = truncated_svd(a, 4, engine_opts={"max_sweeps": 12})
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         assert np.allclose(res.s, s[:4])
         best = (u[:, :4] * s[:4]) @ vt[:4]

@@ -89,7 +89,7 @@ class TestLanczosSvd:
         a = conditioned_matrix(50, 25, cond=1e4, seed=12)
         k = 4
         lz = lanczos_svd(a, k, extra_steps=12, seed=13)
-        hj = truncated_svd(a, k, max_sweeps=14)
+        hj = truncated_svd(a, k, engine_opts={"max_sweeps": 14})
         assert np.allclose(lz.s, hj.s, rtol=1e-9)
 
     def test_low_rank_exact(self):

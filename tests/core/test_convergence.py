@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.registry import METHODS
 from repro.core.convergence import (
     METRICS,
     ConvergenceCriterion,
@@ -215,3 +216,24 @@ class TestRunSweeps:
         snap = reg.snapshot()["counters"]
         assert snap['engine_sweep_nonfinite{engine="test"}'] == 1
 
+
+
+class TestRelativeStopRuleAtExtremeScales:
+    """The off-diagonal metrics square Gram entries; an exact power-of-
+    two rescale keeps them meaningful anywhere in the float64 range, so
+    no engine stops early on an underflowed metric or reports a false
+    NaN health failure on an overflowed one."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_engine_matches_lapack(self, method, scale):
+        from repro.core.svd import hestenes_svd
+        from repro.util.numerics import singular_value_error
+
+        a = np.random.default_rng(7).standard_normal((40, 20)) * scale
+        res = hestenes_svd(a, method=method, tol=1e-12, metric="relative",
+                           max_sweeps=30)
+        ref = np.linalg.svd(a, compute_uv=False)
+        assert singular_value_error(ref, res.s) <= 1e-10
+        assert res.converged
+        assert res.health.ok

@@ -15,7 +15,7 @@ from repro.obs import (
     use_tracer,
     write_chrome_trace,
 )
-from repro.serve.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 class StepClock:

@@ -5,8 +5,10 @@ import pytest
 from repro.obs import Tracer
 from repro.obs.events import EventLog, context, use_event_log
 from repro.obs.slo import SLOEngine, default_objectives, use_slo_engine
+from repro.serve.request import ServeError
 from repro.serve.retry import RetryPolicy, retry_call
 from repro.serve.server import SVDServer
+from repro.serve.shard import ShardedSVDServer
 from repro.workloads import random_matrix
 from repro.workloads.driver import ReplayReport
 
@@ -46,6 +48,92 @@ class TestRequestLifecycleEvents:
                         trace_id=second.request_id)
         assert len(done) == 1
         assert done[0].fields["cache_hit"] is True
+
+
+#: Both serving tiers, each with the settings that let one flood of
+#: submissions overflow its admission control.  A 50 ms flush window
+#: lets a 1 us deadline expire before dispatch.
+TIERS = {
+    "single": (SVDServer, {"queue_size": 1, "backpressure": "reject",
+                           "max_batch": 1, "workers": 1}),
+    "sharded": (lambda **kw: ShardedSVDServer(shards=1, **kw),
+                {"max_inflight": 1}),
+}
+TERMINAL = ("serve.request.done", "serve.request.rejected")
+
+
+class TestOneTerminalEventPerRequest:
+    """Every submitted request leaves exactly one terminal event in the
+    submitting process's log, under ``trace_id or request_id``, on
+    both tiers and for every outcome."""
+
+    @pytest.fixture(params=sorted(TIERS))
+    def tier(self, request):
+        make, overload = TIERS[request.param]
+        return lambda over=False, **kw: make(
+            max_wait_s=0.05, **(overload if over else {}), **kw)
+
+    @staticmethod
+    def _terminal(log, response):
+        trace = response.trace_id or response.request_id
+        return [ev for ev in log.find(trace_id=trace) if ev.name in TERMINAL]
+
+    def _assert_done(self, log, response, status, cache_hit=False):
+        assert response.status == status
+        (event,) = self._terminal(log, response)
+        assert event.name == "serve.request.done"
+        assert event.fields["status"] == status
+        assert event.fields["cache_hit"] is cache_hit
+
+    def test_computed_ok(self, tier):
+        log = EventLog(capacity=256)
+        with use_event_log(log), use_slo_engine(None):
+            with tier(cache_bytes=None) as srv:
+                response = srv.submit(
+                    random_matrix(8, 4, seed=11)).result(timeout=120.0)
+        self._assert_done(log, response, "ok")
+
+    def test_front_cache_hit(self, tier):
+        log = EventLog(capacity=256)
+        a = random_matrix(8, 4, seed=12)
+        with use_event_log(log), use_slo_engine(None):
+            with tier() as srv:
+                first = srv.submit(a).result(timeout=120.0)
+                second = srv.submit(a).result(timeout=120.0)
+                counters = srv.metrics.snapshot()["counters"]
+        assert counters["cache_hits"] == 1
+        assert counters["requests_completed"] == 2
+        self._assert_done(log, first, "ok")
+        self._assert_done(log, second, "ok", cache_hit=True)
+        assert len(log.find("serve.request.submitted",
+                            trace_id=second.request_id)) == 1
+
+    def test_rejection(self, tier):
+        log = EventLog(capacity=1024)
+        handles = []
+        with use_event_log(log), use_slo_engine(None):
+            with tier(over=True, cache_bytes=None) as srv:
+                handles.append(srv.submit(random_matrix(96, 48, seed=13)))
+                with pytest.raises(ServeError) as excinfo:
+                    for i in range(300):
+                        handles.append(srv.submit(
+                            random_matrix(6, 3, seed=100 + i)))
+                handles.append(excinfo.value.handle)
+            responses = [h.result(timeout=120.0) for h in handles]
+        rejected = responses[-1]
+        assert rejected.status == "rejected"
+        (event,) = self._terminal(log, rejected)
+        assert event.name == "serve.request.rejected"
+        for response in responses[:-1]:
+            self._assert_done(log, response, "ok")
+
+    def test_deadline_timeout(self, tier):
+        log = EventLog(capacity=256)
+        with use_event_log(log), use_slo_engine(None):
+            with tier(cache_bytes=None) as srv:
+                response = srv.submit(random_matrix(8, 4, seed=14),
+                                      timeout=1e-6).result(timeout=120.0)
+        self._assert_done(log, response, "timeout")
 
 
 class TestDegradationCorrelation:

@@ -64,7 +64,7 @@ class TestSolverCrossAgreement:
 class TestPipelines:
     def test_generate_decompose_truncate_reconstruct(self):
         img = image_like_matrix(48, 64, seed=9)
-        res = truncated_svd(img, 6, max_sweeps=10)
+        res = truncated_svd(img, 6, engine_opts={"max_sweeps": 10})
         err = np.linalg.norm(img - res.reconstruct()) / np.linalg.norm(img)
         s_full = np.linalg.svd(img, compute_uv=False)
         optimal = np.sqrt(np.sum(s_full[6:] ** 2)) / np.linalg.norm(img)

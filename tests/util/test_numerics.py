@@ -128,3 +128,26 @@ class TestSingularValueError:
 
     def test_empty(self):
         assert singular_value_error([], []) == 0.0
+
+
+class TestOffDiagonalMetricsAtExtremeScales:
+    #: A Gram matrix whose entries are exact in binary at every scale.
+    GRAM = np.array([[4.0, 1.0, -2.0], [1.0, 3.0, 0.5], [-2.0, 0.5, 5.0]])
+
+    @pytest.mark.parametrize("k", [500, -500])
+    def test_scaled_gram_gives_exactly_scaled_metrics(self, k):
+        # The Gram matrix of an input scaled by 2**k is scaled by
+        # 2**(2k); squaring its entries would overflow or underflow.
+        scaled = np.ldexp(self.GRAM, 2 * k)
+        assert frobenius_off_diagonal(scaled) == np.ldexp(
+            frobenius_off_diagonal(self.GRAM), 2 * k)
+        assert relative_off_diagonal(scaled) == relative_off_diagonal(
+            self.GRAM)
+        assert mean_abs_off_diagonal(scaled) == np.ldexp(
+            mean_abs_off_diagonal(self.GRAM), 2 * k)
+
+    def test_non_finite_entries_still_propagate(self):
+        d = self.GRAM.copy()
+        d[0, 1] = np.nan
+        assert np.isnan(frobenius_off_diagonal(d))
+        assert np.isnan(relative_off_diagonal(d))
