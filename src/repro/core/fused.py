@@ -1,18 +1,18 @@
-"""Fused-store sweep kernel for the reduced-precision Jacobi schedules.
+"""Fused-store round kernel of the vectorized Jacobi engine.
 
-This module is the machinery behind the ``precision`` knob of
-:func:`repro.core.vectorized.vectorized_svd` — the software analogue of
-the paper's cheap-arithmetic rotation cascade (see "A mixed precision
-Jacobi SVD algorithm", Gao/Ma/Shao).  The engine's default fp64 path
-never touches it; the ``"mixed"`` and ``"fp32"`` schedules run on the
-kernel here:
+This module holds the one round kernel of
+:func:`repro.core.vectorized.vectorized_svd`, for every value of its
+``precision`` knob, plus the reduced-precision machinery — the software
+analogue of the paper's cheap-arithmetic rotation cascade (see "A mixed
+precision Jacobi SVD algorithm", Gao/Ma/Shao):
 
 * :class:`FusedSweeper` performs one Jacobi sweep over a fused
-  ``[Bᵀ | Vᵀ]`` row store with Algorithm 1's cached-norm updates and
-  one stacked ``(k,2,2) @ (k,2,width)`` matmul per round.  It is the
-  round kernel of both the fp32 bulk phase and the mixed schedule's
-  fp64 finishing sweeps (which the engine drives through
-  :func:`repro.core.convergence.run_sweeps` on a float64 store).
+  ``[Bᵀ | Vᵀ]`` row store, recomputing each round's norms and
+  covariances from the gathered rows and applying the round as one
+  stacked ``(k,2,2) @ (k,2,width)`` matmul.  It runs the fp32 bulk
+  phase on a float32 store, and every fp64 sweep (the default schedule
+  and the mixed schedule's finish) on a float64 store, driven by
+  :func:`repro.core.convergence.run_sweeps`.
 * :func:`fp32_phase` runs bulk float32 sweeps until the scale-free
   off-diagonal estimate drops below the switch threshold (or the fp32
   noise floor, or the sweeps stop making progress).
@@ -20,12 +20,15 @@ kernel here:
   two Newton-Schulz iterations that strip V of its fp32 orthogonality
   defect so the fp64 finish can reach the fp64 accuracy class.
 
-None of this carries the reference loop's bit-identity contract (only
-the engine's default fp64 path does), which is what lets every routine
-here trade exact arithmetic order for a large constant-factor win.
-The fp32 phase takes its round schedule as a zero-argument
-``make_plan`` callable built by the vectorized engine, so this module
-never imports it back — the dependency points one way.
+The kernel's rotation parameters agree with the sequential reference
+loop's to the rounding of the batched dot products, and the stacked
+matmul may round the two-term update differently from the elementwise
+form, so the contract with the reference loop is the trace schema and
+the accuracy class, not bit-identity (``tests/core/test_differential.py``).
+The round schedule is built by the vectorized engine and passed in
+(:func:`fp32_phase` takes it as a zero-argument ``make_plan``
+callable), so this module never imports it back — the dependency
+points one way.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def lean_rotation_params(
     one,
     zero,
     neg_one,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Lean evaluation of Algorithm 1's textbook rotation formulas.
 
     Same closed forms as :func:`repro.core.blocked.batch_rotation_params`
@@ -106,7 +109,7 @@ def lean_rotation_params(
       identity rotation.
 
     Caller must hold ``np.errstate(over/divide/invalid="ignore")``.
-    Returns ``(c, s, t)``.
+    Returns ``(c, s)``.
     """
     d = norm_j - norm_i
     rho = d / (cov + cov)
@@ -117,33 +120,27 @@ def lean_rotation_params(
         / (np.abs(rho) + np.sqrt(one + rho * rho)),
     )
     c = one / np.sqrt(one + t * t)
-    return c, c * t, t
+    return c, c * t
 
 
 def compile_fused_plan(plan):
     """Stack each round's (i, j) indices as (k, 2) so one fancy-index
     gather yields the (k, 2, width) operand of the stacked matmul."""
-    return [
-        (idx_i, idx_j, np.stack([idx_i, idx_j], axis=1))
-        for idx_i, idx_j in plan
-    ]
+    return [np.stack([idx_i, idx_j], axis=1) for idx_i, idx_j in plan]
 
 
 class FusedSweeper:
     """One Jacobi sweep over a fused ``[Bᵀ | Vᵀ]`` row store.
 
-    The workhorse of the reduced-precision schedules, shared by the
-    fp32 bulk phase and the mixed schedule's fp64 finishing phase.  It
-    departs from the bit-pinned fp64 reference loop in three ways, each
-    a large constant-factor win at round granularity:
+    The vectorized engine's only round kernel, in float64 and float32
+    alike.  Norms and covariances are recomputed every round from the
+    rows already gathered for the update, never cached: a cached norm
+    updated by Algorithm 1's ``n_i ← n_i − t·cov`` drifts, and the
+    drift steers the skip test and rotation angles wrongly on graded and
+    rank-deficient inputs.  It departs from the sequential reference
+    loop's column-pair form in two ways, each a large constant-factor
+    win at round granularity:
 
-    * Column norms are *cached* and updated with Algorithm 1's closed
-      form ``n_i ← n_i − t·cov`` / ``n_j ← n_j + t·cov`` instead of
-      being recomputed, eliminating two of the three einsum reductions
-      per round (the paper's own FPGA bookkeeping, lines 15-17).  Drift
-      is O(eps) per update in the working dtype and only feeds the skip
-      test and rotation angles, never the final singular values (those
-      come from ``finalize_columns`` on the actual columns).
     * B and V share one gather/scatter: rotations act on rows of the
       fused store, so the V accumulation rides along at no extra
       indexing cost.
@@ -164,7 +161,6 @@ class FusedSweeper:
         dtype = w.dtype
         self.w = w
         self.m = m
-        self.norms = np.einsum("ij,ij->i", w[:, :m], w[:, :m])
         self.thresh = dtype.type(pair_threshold)
         self.one = dtype.type(1.0)
         self.zero = dtype.type(0.0)
@@ -179,43 +175,44 @@ class FusedSweeper:
         """Run one full sweep; returns ``(rotations, skipped)``."""
         w = self.w
         m = self.m
-        norms = self.norms
         flops = self.flops
         rotations = 0
         skipped = 0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for round_index, (idx_i, idx_j, pair_idx) in enumerate(plan):
-                with rspan("core.round", round=round_index, pairs=len(idx_i)):
+            for round_index, pair_idx in enumerate(plan):
+                k = len(pair_idx)
+                with rspan("core.round", round=round_index, pairs=k):
                     x = w[pair_idx]
-                    cov = np.einsum("kj,kj->k", x[:, 0, :m], x[:, 1, :m])
-                    ni = norms[idx_i]
-                    nj = norms[idx_j]
+                    xb = x[:, :, :m]
+                    norms = np.einsum("kpj,kpj->kp", xb, xb)
+                    ni = norms[:, 0]
+                    nj = norms[:, 1]
+                    cov = np.einsum("kj,kj->k", xb[:, 0], xb[:, 1])
                     if flops is not None:
-                        flops.add_pairs(m, len(idx_i))
+                        flops.add_pairs(m, k)
                     active = np.abs(cov) > self.thresh * np.sqrt(
                         ni
                     ) * np.sqrt(nj)
                     n_active = int(np.count_nonzero(active))
-                    skipped += len(idx_i) - n_active
+                    skipped += k - n_active
                     if n_active == 0:
                         continue
                     rotations += n_active
                     # Zeroed covariances yield the identity rotation, so
                     # the whole round scatters in one shot without
                     # re-gathering a filtered subset.
-                    if n_active < len(idx_i):
+                    if n_active < k:
                         cov = np.where(active, cov, self.zero)
                     if self.lean:
-                        c, s, t = lean_rotation_params(
+                        c, s = lean_rotation_params(
                             ni, nj, cov, self.one, self.zero, self.neg_one
                         )
                     else:
-                        c, s, t, _ = batch_rotation_params(
+                        c, s, _, _ = batch_rotation_params(
                             ni, nj, cov,
                             rotation_impl=self.rotation_impl,
                             dtype=w.dtype,
                         )
-                    k = len(idx_i)
                     rot = self._rot
                     if rot is None or rot.shape[0] != k:
                         rot = self._rot = np.empty((k, 2, 2), dtype=w.dtype)
@@ -228,12 +225,6 @@ class FusedSweeper:
                     rot[:, 1, 1] = c
                     np.matmul(rot, x, out=self._out)
                     w[pair_idx] = self._out
-                    delta = t * cov
-                    # max(…, 0): the cached norm drifts by O(eps) per
-                    # update and must stay a valid squared length for
-                    # the sqrt in the skip test.
-                    norms[idx_i] = np.maximum(ni - delta, self.zero)
-                    norms[idx_j] = nj + delta
                     if flops is not None:
                         flops.add_updates(m, n_active)
         return rotations, skipped

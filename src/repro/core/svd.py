@@ -100,7 +100,7 @@ def hestenes_svd(
     precision : {"fp64", "mixed", "fp32"}
         Working-precision schedule, for engines that declare it (the
         vectorized engine): "mixed" runs float32 bulk sweeps with an
-        fp64 cleanup (fp64-class accuracy, ~2.5x faster at n>=256),
+        fp64 cleanup (fp64-class accuracy, ~1.5x faster at n=256),
         "fp32" stays in float32 throughout (documented ~1e-5 accuracy
         class).  Requesting a non-default precision from an engine
         without precision support raises ``ValueError`` rather than

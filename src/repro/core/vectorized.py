@@ -7,18 +7,20 @@ property in NumPy: for each round it gathers *all* disjoint (i, j)
 column pairs at once, computes every rotation parameter in one batched
 pass over vectors of norms and covariances (either Algorithm 1's
 textbook formulas or the division-restructured hardware equations 8-10),
-and applies the whole round with a single gather/scatter column update.
+and applies the whole round with a single gather/scatter update.  The
+one round kernel, :class:`repro.core.fused.FusedSweeper`, works on a
+fused ``[Bᵀ | Vᵀ]`` row store, so V rides along with B.
 
 It is the round-parallel counterpart of
 :func:`repro.core.hestenes.reference_svd` — same recompute-from-columns
 numerics (never squaring the condition number, unlike the cached-Gram
-``modified``/``blocked`` engines), same convergence-trace schema, and
+``modified``/``blocked`` engines: norms and covariances are recomputed
+from the columns every round), same convergence-trace schema, and
 rotation parameters that agree with the sequential loop to the rounding
-of the batched dot products (bit-identical whenever the per-pair norms
-and covariances are, since :func:`repro.core.blocked.batch_rotation_params`
-evaluates the scalar formulas elementwise and the batched column update
-performs the identical arithmetic).  ``tests/core/test_differential.py``
-pins this round-for-round.
+of the batched dot products.  ``tests/core/test_differential.py`` pins
+the batched primitives round-for-round (:func:`pair_dots` and
+:func:`repro.core.blocked.batch_rotation_params` against the scalar
+loop) and the engine's trace schema against the reference.
 
 A ``block_rounds`` knob additionally fuses consecutive rounds through
 :func:`repro.core.ordering.fuse_rounds` when no pair conflicts — a
@@ -29,23 +31,21 @@ groups.
 Mixed-precision fast path
 -------------------------
 The ``precision`` knob selects the working-precision schedule:
-``"fp64"`` (the default double-precision path above, untouched),
+``"fp64"`` (the default: double-precision sweeps on a float64 store),
 ``"mixed"`` (cheap float32 bulk sweeps, then a re-derived fp64 handoff
-and double-precision finishing sweeps — same final accuracy class as
+and the same double-precision sweeps — same final accuracy class as
 fp64), and ``"fp32"`` (float32 throughout, the documented ~1e-5
-class).  The reduced-precision machinery — the fused ``[Bᵀ | Vᵀ]``
-store kernel, the fp32 phase and the Newton-Schulz handoff — lives in
-:mod:`repro.core.fused`; the mixed schedule's fp64 finish runs that
-kernel on a float64 store.  ``tests/core/test_differential.py``
-enforces the per-tier tolerance schedule.  Finalization is always
-fp64.
+class).  Every schedule runs the same round kernel; only the store's
+dtype differs.  The fp32 phase and the Newton-Schulz handoff live in
+:mod:`repro.core.fused` next to the kernel.
+``tests/core/test_differential.py`` enforces the per-tier tolerance
+schedule.  Finalization is always fp64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blocked import batch_rotation_params
 from repro.core.convergence import (
     ConvergenceCriterion,
     ConvergenceTrace,
@@ -110,45 +110,6 @@ def pair_dots(
     return norm_i, norm_j, cov
 
 
-def _row_dots(
-    bt: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`pair_dots` on the transposed column store.
-
-    The engine keeps ``Bᵀ`` so each column of B is a *contiguous row* —
-    gathers, reductions, and scattered writebacks then run on unit
-    stride, which measures ~2x faster than the column-slice forms on
-    C-ordered arrays.
-    """
-    rows_i = bt[idx_i]
-    rows_j = bt[idx_j]
-    norm_i = np.einsum("ij,ij->i", rows_i, rows_i)
-    norm_j = np.einsum("ij,ij->i", rows_j, rows_j)
-    cov = np.einsum("ij,ij->i", rows_i, rows_j)
-    return norm_i, norm_j, cov
-
-
-def _apply_round_rows(
-    bt: np.ndarray,
-    idx_i: np.ndarray,
-    idx_j: np.ndarray,
-    c: np.ndarray,
-    s: np.ndarray,
-) -> None:
-    """Row-store form of :func:`repro.core.rotation.apply_round_columns`.
-
-    Elementwise arithmetic is identical (``b_i c - b_j s`` / ``b_i s +
-    b_j c`` per element), so results are bit-identical to the
-    column-store update and to the sequential pair-at-a-time loop.
-    """
-    c = c[:, None]
-    s = s[:, None]
-    rows_i = bt[idx_i].copy()
-    rows_j = bt[idx_j]
-    bt[idx_i] = rows_i * c - rows_j * s
-    bt[idx_j] = rows_i * s + rows_j * c
-
-
 def round_plan(
     n: int,
     ordering: str = "cyclic",
@@ -173,84 +134,19 @@ def round_plan(
     return plan
 
 
-def _plan_maker(n, ordering, seed, block_rounds, *, fused=False):
-    """Zero-argument sweep-schedule builder: static orderings build the
-    :func:`round_plan` once and return it every sweep; "random"
-    rebuilds it per call.  ``fused=True`` compiles it for the fused
-    kernel (:func:`repro.core.fused.compile_fused_plan`)."""
+def _plan_maker(n, ordering, seed, block_rounds):
+    """Zero-argument sweep-schedule builder: static orderings compile
+    the :func:`round_plan` for the fused kernel
+    (:func:`repro.core.fused.compile_fused_plan`) once and return it
+    every sweep; "random" rebuilds it per call."""
 
     def build():
-        plan = round_plan(n, ordering, seed, block_rounds)
-        return compile_fused_plan(plan) if fused else plan
+        return compile_fused_plan(round_plan(n, ordering, seed, block_rounds))
 
     if ordering == "random":
         return build
     plan = build()
     return lambda: plan
-
-
-def _fp64_sweep_loop(
-    bt: np.ndarray,
-    vt: np.ndarray | None,
-    *,
-    criterion: ConvergenceCriterion,
-    ordering: str,
-    seed,
-    block_rounds: int,
-    pair_threshold: float,
-    rotation_impl: str,
-    trace: ConvergenceTrace,
-    flops: FlopCounter | None,
-) -> tuple[int, bool]:
-    """The double-precision sweep loop over the transposed stores.
-
-    This is the engine's reference-precision round path, run by the
-    default fp64 schedule and by a mixed run whose input is already
-    below ``switch_tol`` (the mixed schedule's finishing sweeps use the
-    fused store instead).  Returns ``(sweeps_done, converged)``.
-    """
-    n, m = bt.shape
-    make_plan = _plan_maker(n, ordering, seed, block_rounds)
-
-    def sweep(index, rspan):
-        rotations = 0
-        skipped = 0
-        for round_index, (idx_i, idx_j) in enumerate(make_plan()):
-            with rspan("core.round", round=round_index, pairs=len(idx_i)):
-                norm_i, norm_j, cov = _row_dots(bt, idx_i, idx_j)
-                if flops is not None:
-                    flops.add_pairs(m, len(idx_i))
-                # sqrt per factor: the product norm_i*norm_j overflows
-                # for squared norms above 1e154 (columns of scale ~1e77).
-                active = np.abs(cov) > pair_threshold * np.sqrt(
-                    norm_i
-                ) * np.sqrt(norm_j)
-                n_active = int(np.count_nonzero(active))
-                skipped += len(idx_i) - n_active
-                if n_active == 0:
-                    continue
-                rotations += n_active
-                if n_active < len(idx_i):
-                    idx_i, idx_j = idx_i[active], idx_j[active]
-                    norm_i, norm_j = norm_i[active], norm_j[active]
-                    cov = cov[active]
-                c, s, _, _ = batch_rotation_params(
-                    norm_i, norm_j, cov, rotation_impl=rotation_impl
-                )
-                _apply_round_rows(bt, idx_i, idx_j, c, s)
-                if vt is not None:
-                    _apply_round_rows(vt, idx_i, idx_j, c, s)
-                if flops is not None:
-                    flops.add_updates(m, n_active)
-        return rotations, skipped
-
-    return run_sweeps(
-        sweep,
-        lambda: measure(bt @ bt.T, criterion.metric),
-        method="vectorized",
-        criterion=criterion,
-        trace=trace,
-    )
 
 
 def vectorized_svd(
@@ -319,9 +215,7 @@ def vectorized_svd(
         budget).  Ignored for "fp64" and "fp32".
     flops : FlopCounter, optional
         Tallies dot-product and update work; totals match the scalar
-        reference loop for an identical sweep schedule.  (The fp32
-        phase's cached-norm rounds are charged at the same per-pair
-        rate even though they skip two of the three reductions.)
+        reference loop for an identical sweep schedule.
 
     Returns
     -------
@@ -340,58 +234,64 @@ def vectorized_svd(
     else:
         check_positive_float(switch_tol, name="switch_tol")
 
-    # Transposed stores: columns of B (and of V) live as contiguous
-    # rows, so the round-wide gather/reduce/scatter runs at unit stride.
-    # (.copy() rather than ascontiguousarray: the latter can return a
-    # view for degenerate shapes, and the input must never be mutated.)
-    bt = a.T.copy()
-    vt = np.eye(n) if compute_uv else None
+    make_plan = _plan_maker(n, ordering, seed, block_rounds)
     trace = ConvergenceTrace(metric=criterion.metric)
-    g0 = bt @ bt.T
+    g0 = a.T @ a
     trace.record(0, measure(g0, criterion.metric))
 
     fp32_sweeps = 0
-    if precision != "fp64":
-        est0 = float(measure(g0, "relative"))
-        if precision == "fp32" or est0 > switch_tol:
-            make_plan = _plan_maker(n, ordering, seed, block_rounds, fused=True)
-            budget = (
-                criterion.max_sweeps
-                if precision == "fp32"
-                else max(1, criterion.max_sweeps - _RESERVED_FP64_SWEEPS)
-            )
-            w, fp32_sweeps, converged = fp32_phase(
-                a,
-                criterion=criterion,
-                make_plan=make_plan,
-                pair_threshold=pair_threshold,
-                rotation_impl=rotation_impl,
-                switch_tol=switch_tol if precision == "mixed" else None,
-                budget=budget,
-                trace=trace,
-                flops=flops,
-            )
-
-    if precision == "fp32":
-        # Cheap tier: the finished fp32 factors are upcast as-is.
+    if precision == "fp32" or (
+        precision == "mixed" and float(measure(g0, "relative")) > switch_tol
+    ):
+        budget = (
+            criterion.max_sweeps
+            if precision == "fp32"
+            else max(1, criterion.max_sweeps - _RESERVED_FP64_SWEEPS)
+        )
+        low, fp32_sweeps, converged = fp32_phase(
+            a,
+            criterion=criterion,
+            make_plan=make_plan,
+            pair_threshold=pair_threshold,
+            rotation_impl=rotation_impl,
+            switch_tol=switch_tol if precision == "mixed" else None,
+            budget=budget,
+            trace=trace,
+            flops=flops,
+        )
+        # "fp32" finalizes this float32 store as-is; "mixed" hands it
+        # over to the fp64 tail below.
+        w = low
         sweeps_done = fp32_sweeps
-    elif fp32_sweeps:
-        # Mixed handoff: re-derive the fp64 state rather than upcasting
-        # it.  V's fp32 orthogonality defect is polished away by the
-        # polar iteration, then B is recomputed from the *original*
-        # fp64 input so no fp32 rounding survives into the finishing
-        # sweeps, which run the fused kernel in float64.
-        with span(
-            "core.precision_switch",
-            method="vectorized",
-            fp32_sweeps=fp32_sweeps,
-        ):
-            v = np.ascontiguousarray(w[:, m:].T, dtype=np.float64)
-            v = polar_orthonormalize(v)
-            w = np.empty((n, m + n if compute_uv else m), dtype=np.float64)
-            w[:, :m] = (a @ v).T
+
+    if precision != "fp32":
+        # fp64 tail, on a float64 [Bᵀ | Vᵀ] row store: columns of B
+        # (and of V) live as contiguous rows, so each round's
+        # gather/reduce/scatter runs at unit stride.  Filling a fresh
+        # store never mutates the input.
+        w = np.zeros((n, m + n if compute_uv else m))
+        if fp32_sweeps:
+            # Mixed handoff: re-derive the fp64 state rather than
+            # upcasting it.  V's fp32 orthogonality defect is polished
+            # away by the polar iteration, then B is recomputed from
+            # the *original* fp64 input so no fp32 rounding survives
+            # into the finishing sweeps.
+            with span(
+                "core.precision_switch",
+                method="vectorized",
+                fp32_sweeps=fp32_sweeps,
+            ):
+                v = np.ascontiguousarray(low[:, m:].T, dtype=np.float64)
+                v = polar_orthonormalize(v)
+                w[:, :m] = (a @ v).T
+                if compute_uv:
+                    w[:, m:] = v.T
+        else:
+            # fp64, or a mixed input already below switch_tol (e.g.
+            # diagonal): the sweeps start from the input itself.
+            w[:, :m] = a.T
             if compute_uv:
-                w[:, m:] = v.T
+                np.fill_diagonal(w[:, m:], 1.0)
         sweeper = FusedSweeper(
             w,
             m,
@@ -407,22 +307,6 @@ def vectorized_svd(
             trace=trace,
             start=fp32_sweeps,
         )
-    else:
-        # fp64, or a mixed input already below switch_tol (e.g.
-        # diagonal): the standard path on the untouched stores.
-        sweeps_done, converged = _fp64_sweep_loop(
-            bt,
-            vt,
-            criterion=criterion,
-            ordering=ordering,
-            seed=seed,
-            block_rounds=block_rounds,
-            pair_threshold=pair_threshold,
-            rotation_impl=rotation_impl,
-            trace=trace,
-            flops=flops,
-        )
-        w = np.concatenate([bt, vt], axis=1) if compute_uv else bt
     trace.converged = converged
 
     # Finalization is always fp64, on the (n, m[+n]) [Bᵀ | Vᵀ] store.

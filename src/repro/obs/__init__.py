@@ -16,8 +16,8 @@ without any external dependency:
   ``serve.queue_wait`` / ``serve.batch`` → ``serve.engine``).
 * :mod:`~repro.obs.metrics` — process-wide labeled Counter / Gauge /
   Histogram instruments with a default global registry
-  (:func:`~repro.obs.metrics.get_registry`); the serving layer's
-  ``repro.serve.metrics`` is a deprecated alias of it.
+  (:func:`~repro.obs.metrics.get_registry`), which the serving layer
+  records into.
 * :mod:`~repro.obs.health` — numerical-health monitors: per-sweep
   NaN/Inf guards in every engine, a :class:`~repro.obs.health.HealthReport`
   attached to each ``SVDResult``, and an optional fail-fast mode.

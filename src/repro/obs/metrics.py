@@ -1,7 +1,7 @@
 """Process-wide labeled metrics: counters, gauges, histograms, registry.
 
-Promoted from ``repro.serve.metrics`` (now a deprecated alias) and
-generalized into the library-wide instrumentation layer:
+Promoted from the serving layer's old metrics module and generalized
+into the library-wide instrumentation layer:
 
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` — the three
   instrument kinds, each optionally declared with **label names**.  A

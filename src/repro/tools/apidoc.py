@@ -91,7 +91,6 @@ PUBLIC_MODULES = (
     "repro.serve.queue",
     "repro.serve.scheduler",
     "repro.serve.cache",
-    "repro.serve.metrics",
     "repro.serve.retry",
     "repro.serve.handle",
     "repro.serve.server",

@@ -39,6 +39,13 @@ COMBOS = [
     for ordering in ("cyclic", "row", "random")
 ] + [("blocked", "cyclic"), ("preconditioned", "cyclic")]
 
+#: (method, ordering, precision) cells: the grid at fp64, plus the
+#: vectorized mixed schedule under every ordering — it claims the fp64
+#: accuracy class, so it owes the same invariants.
+CELLS = [(method, ordering, "fp64") for method, ordering in COMBOS] + [
+    ("vectorized", ordering, "mixed") for ordering in ("cyclic", "row", "random")
+]
+
 
 def _matrix(name: str) -> np.ndarray:
     rng = np.random.default_rng(SEED)
@@ -108,12 +115,13 @@ def check_invariants(a, res, *, gram: bool) -> None:
 
 
 @pytest.mark.parametrize("matrix_name", MATRICES)
-@pytest.mark.parametrize("method,ordering", COMBOS,
-                         ids=[f"{m}-{o}" for m, o in COMBOS])
-def test_engine_invariants(method, ordering, matrix_name):
+@pytest.mark.parametrize(
+    "method,ordering,precision", CELLS,
+    ids=[f"{m}-{o}" if p == "fp64" else f"{m}-{p}-{o}" for m, o, p in CELLS])
+def test_engine_invariants(method, ordering, precision, matrix_name):
     a = _matrix(matrix_name)
     res = hestenes_svd(a, method=method, ordering=ordering,
-                       max_sweeps=20, seed=5)
+                       precision=precision, max_sweeps=20, seed=5)
     check_invariants(a, res, gram=method in GRAM_CLASS)
 
 

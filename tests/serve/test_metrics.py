@@ -91,16 +91,3 @@ class TestRegistry:
     def test_render_empty(self):
         assert "no metrics" in MetricsRegistry().render_text()
 
-
-class TestDeprecatedServeAlias:
-    def test_alias_warns_and_reexports_the_same_objects(self):
-        import importlib
-        import sys
-
-        import repro.obs.metrics as obs_metrics
-
-        sys.modules.pop("repro.serve.metrics", None)
-        with pytest.warns(DeprecationWarning, match="repro.obs.metrics"):
-            alias = importlib.import_module("repro.serve.metrics")
-        for name in ("Counter", "Gauge", "Histogram", "MetricsRegistry"):
-            assert getattr(alias, name) is getattr(obs_metrics, name)
